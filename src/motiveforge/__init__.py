@@ -12,7 +12,7 @@ from .laurent import (DivisorUnitError, ExactDivisionError, L, LaurentInt,
 from .motive import (GenusMismatchError, MotiveClass, UnsupportedProductError,
                      WeightPart, canonicalize, lambda_binomial)
 from .series import (DegenerateDenominatorError, MotiveSeries, big_f,
-                     binomial_series, default_order, geometric)
+                     binomial_series, geometric)
 from .macdonald import (EnumerationGuardError, curve_ranks, sym_power_curve,
                         sym_power_bruteforce, sym_power_ranks)
 from .moduli import (PipelineIntegrityError, PipelineReport, Stage, kummer,
@@ -34,7 +34,7 @@ __all__ = [
     "MotiveClass", "MotiveSeries", "PipelineIntegrityError", "PipelineReport",
     "Stage", "UnsupportedProductError", "WeightPart", "betti", "big_f",
     "binomial_series", "canonicalize", "closed_multiplicities", "curve_ranks",
-    "decompose", "default_order", "factors_from_weight_part", "geometric",
+    "decompose", "factors_from_weight_part", "geometric",
     "hodge", "hodge_closed", "hodge_diamond_rows", "hn_closed", "kummer",
     "lambda_binomial", "level_per_weight", "lpow", "m_omega_s", "n0_even",
     "n0_even_stable", "n0_odd", "n0_odd_chain", "n0_odd_closed",

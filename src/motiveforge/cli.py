@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .laurent import DivisorUnitError, ExactDivisionError
+from .laurent import DivisorUnitError, ExactDivisionError, LaurentInt
 from .motive import GenusMismatchError, MotiveClass, UnsupportedProductError
 from .series import DegenerateDenominatorError, big_f
 from .macdonald import (EnumerationGuardError, sym_power_bruteforce,
@@ -22,6 +22,11 @@ from . import moduli, realize, verify
 from .jacobians import DecompositionError, decompose
 
 ENV_ORDER = "MOTIVE_FORGE_ORDER"
+
+
+class UsageError(Exception):
+    """A command line that parses but cannot run: exit status 2."""
+
 
 _COMPUTE_ERRORS = (
     ExactDivisionError, DivisorUnitError, DegenerateDenominatorError,
@@ -114,21 +119,36 @@ def _read_class(path: str | None) -> MotiveClass:
     if path in (None, "-"):
         blob = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     return MotiveClass.from_json_dict(json.loads(blob))
 
 
-def _default_order(genus: int, explicit: int | None) -> int:
+def _write_output(body: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(body)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _order_override(explicit: int | None) -> int | None:
+    """--order, else $MOTIVE_FORGE_ORDER, else None: the pipeline's default."""
     if explicit is not None:
         return explicit
     env = os.environ.get(ENV_ORDER)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_ORDER} must be an integer, got {env!r}") from None
-    return 8 * genus
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{ENV_ORDER} must be an integer, got {env!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,23 +219,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_sym_power(args) -> str:
     if args.ranks is not None:
-        raw = json.loads(args.ranks)
-        ranks = {int(d): int(c) for d, c in raw.items()}
+        # a rank vector is read as its Poincaré polynomial: int ranks only
+        poly = LaurentInt.from_coeff_json(json.loads(args.ranks))
         fn = sym_power_bruteforce if args.bruteforce else sym_power_ranks
-        return _ranks_output(fn(ranks, args.power), args.format)
+        return _ranks_output(fn(dict(poly.items()), args.power), args.format)
     if args.genus is None:
-        raise ValueError("sym-power needs --genus unless --ranks is given")
+        raise UsageError("sym-power needs --genus unless --ranks is given")
     return _class_output(sym_power_curve(args.genus, args.power), args.format)
 
 
 def _run_moduli(args) -> str:
     if args.kind == "pairs":
         if args.degree is None or args.index is None:
-            raise ValueError("moduli pairs needs --degree and --index")
+            raise UsageError("moduli pairs needs --degree and --index")
         cls = moduli.pair_moduli(args.genus, args.degree, args.index)
         return _class_output(cls, args.format)
     if args.parity is None:
-        raise ValueError("moduli n0 needs --parity odd|even")
+        raise UsageError("moduli n0 needs --parity odd|even")
     if args.parity == "odd":
         if args.degree is not None:
             cls = moduli.n0_odd_chain(args.genus, args.degree)
@@ -225,8 +245,7 @@ def _run_moduli(args) -> str:
     if args.degree is not None:
         raise ValueError("the even pipeline fixes degree 4g-2; "
                          "--degree only applies to --parity odd")
-    order = _default_order(args.genus, args.order)
-    rep = moduli.n0_even(args.genus, order)
+    rep = moduli.n0_even(args.genus, _order_override(args.order))
     if args.format == "json":
         return _dump_json(rep.to_json_dict())
     if args.format == "text":
@@ -334,17 +353,16 @@ def main(argv=None) -> int:
             body = _run_big_f(args)
         else:
             body, status = _run_verify(args)
+        _write_output(body, args.out)
     except _COMPUTE_ERRORS as exc:
         print(f"motiveforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"motiveforge: malformed JSON input: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    except UsageError as exc:
+        print(f"motiveforge: usage error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -1,20 +1,25 @@
-"""Exact integer Laurent polynomials in a single symbol.
+"""Exact sparse integer Laurent polynomials.
 
 A polynomial is a sparse map {exponent: coefficient}.  Exponents may be
 negative, coefficients are Python ints (so nothing ever overflows), and zero
-coefficients are never stored.  Values are treated as immutable: every
-operation returns a fresh LaurentInt and instances are safe to share.
+coefficients are never stored.  Values are immutable and safe to share.
 
-Division comes in two flavours.  ``exact_div`` performs long division from the
-lowest exponent and fails loudly, carrying the remainder, when the quotient is
-not an integer Laurent polynomial.  ``series_div`` expands ``self/other`` as a
-power series in the symbol up to a requested exponent, which only needs the
-divisor's bottom coefficient to be a unit.
+``_SparseLaurent`` implements validation, coercion, ``+ - * **``, ``==`` and
+bottom-up exact division once, over the exponent monoid (``_Exponents``) that
+a subclass names: ``LaurentInt`` in the one symbol L, ``realize.BiLaurent``
+in two.  The types never mix; combining them raises ``TypeError``.
+
+``exact_div`` fails loudly, carrying the remainder, when the quotient is not
+an integer Laurent polynomial.  ``LaurentInt.series_div`` expands
+``self/other`` as a power series in L up to a requested exponent, which only
+needs the divisor's bottom coefficient to be a unit.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 
 class ExactDivisionError(ArithmeticError):
@@ -30,37 +35,223 @@ class DivisorUnitError(ValueError):
     """Series division needs a divisor whose lowest coefficient is +1 or -1."""
 
 
-class LaurentInt:
-    __slots__ = ("_c",)
+class _Exponents(NamedTuple):
+    """The exponent monoid of a polynomial type."""
 
-    def __init__(self, value: "int | dict[int, int] | LaurentInt" = 0):
-        if isinstance(value, LaurentInt):
+    zero: object  # exponent of the constant term
+    valid: Callable[[object], bool]  # accepted by the public constructor
+    add: Callable
+    sub: Callable
+    degree: Callable[[object], int]  # total degree; bounds an exact quotient
+    bottom: Callable | None  # sort key whose least term division takes first
+
+
+class _SparseLaurent:
+    """Integer Laurent polynomial over the exponent monoid ``_EXP``.
+
+    Results are built by ``_raw``, which does not check its map; only the
+    public constructor validates.
+    """
+
+    __slots__ = ("_c",)
+    _EXP: _Exponents
+
+    def __init__(self, value=0):
+        cls = type(self)
+        if isinstance(value, cls):
             self._c = value._c  # never mutated, safe to share
         elif isinstance(value, int):
-            self._c = {0: value} if value else {}
+            self._c = {cls._EXP.zero: value} if value else {}
         elif isinstance(value, dict):
+            valid = cls._EXP.valid
             for e, c in value.items():
-                if not isinstance(e, int) or not isinstance(c, int):
-                    raise TypeError("exponents and coefficients must be ints")
+                if not valid(e) or not isinstance(c, int):
+                    raise TypeError(f"bad {cls.__name__} entry {e!r}: {c!r}")
             self._c = {e: c for e, c in value.items() if c}
         else:
-            raise TypeError(f"cannot build a LaurentInt from {type(value).__name__}")
+            raise TypeError(
+                f"cannot build a {cls.__name__} from {type(value).__name__}")
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentInt":
-        return cls({exp: coeff})
+    def _raw(cls, coeffs: dict):
+        """Wrap a map of valid exponents to nonzero ints, unchecked."""
+        obj = object.__new__(cls)
+        obj._c = coeffs
+        return obj
+
+    def _coerce(self, value):
+        if isinstance(value, type(self)):
+            return value
+        if isinstance(value, int):
+            return self._raw({self._EXP.zero: value} if value else {})
+        return NotImplemented
 
     # -- inspection ---------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self._c)
 
+    def items(self) -> list:
+        """Terms as (exponent, coefficient), in ascending exponent order."""
+        return sorted(self._c.items())
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._c == other._c
+
+    __hash__ = None  # sparse-map values; not usable as dict keys
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self.render()}')"
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self._c)
+        for e, c in other._c.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return self._raw(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw({e: -c for e, c in self._c.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        add = self._EXP.add
+        out: dict = {}
+        for e1, c1 in self._c.items():
+            for e2, c2 in other._c.items():
+                e = add(e1, e2)
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return self._raw(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- division -----------------------------------------------------------
+
+    def _long_div(self, other, top: int):
+        """(quotient, remainder map) of dividing by nonzero ``other`` from
+        the bottom term until the next quotient term passes degree ``top``."""
+        add, sub, degree, key = (self._EXP.add, self._EXP.sub,
+                                 self._EXP.degree, self._EXP.bottom)
+        lo = min(other._c, key=key)
+        unit = other._c[lo]
+        rem = dict(self._c)
+        quo: dict = {}
+        while rem:
+            e = min(rem, key=key)
+            qe = sub(e, lo)
+            if degree(qe) > top:
+                break
+            c = rem[e]
+            if c % unit:
+                raise ExactDivisionError(
+                    f"non-exact division: coefficient {c} at exponent {e} not "
+                    f"divisible by {unit}", remainder=self._raw(rem))
+            t = c // unit
+            quo[qe] = t
+            for de, dc in other._c.items():
+                ee = add(qe, de)
+                s = rem.get(ee, 0) - t * dc
+                if s:
+                    rem[ee] = s
+                else:
+                    del rem[ee]
+        return self._raw(quo), rem
+
+    def exact_div(self, other):
+        """Long division from the bottom term; the remainder must vanish."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            raise TypeError(f"divisor must be a {type(self).__name__} or int")
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self:
+            return self._raw({})
+        degree = self._EXP.degree
+        # the top total degree of any exact quotient
+        top = max(map(degree, self._c)) - max(map(degree, other._c))
+        quo, rem = self._long_div(other, top)
+        if rem:
+            left = self._raw(rem)
+            raise ExactDivisionError(
+                f"non-exact division: remainder {left.render()}", remainder=left)
+        return quo
+
+    # -- presentation ---------------------------------------------------------
+
+    def _render(self, spell) -> str:
+        """Signed sum of the terms in ascending order; ``spell(exponent,
+        magnitude)`` writes one term without its sign."""
+        parts: list[str] = []
+        for e, c in self.items():
+            body = spell(e, abs(c))
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
+
+
+class LaurentInt(_SparseLaurent):
+    """Integer Laurent polynomials in the single symbol L; sparse {e: c}."""
+
+    __slots__ = ()
+    _EXP = _Exponents(zero=0,
+                      valid=lambda e: isinstance(e, int),
+                      add=operator.add, sub=operator.sub,
+                      degree=lambda e: e, bottom=None)
+
+    # Bound on the class itself, so that per-class instrumentation
+    # (bench/tracing.py) patches the one-symbol type alone.
+    __init__ = _SparseLaurent.__init__
+    __mul__ = __rmul__ = _SparseLaurent.__mul__
+    exact_div = _SparseLaurent.exact_div
+
+    @classmethod
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentInt":
+        return cls({exp: coeff})
+
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        """Terms as (exponent, coefficient), lowest exponent first."""
-        return sorted(self._c.items())
 
     @property
     def min_exp(self) -> int | None:
@@ -70,84 +261,11 @@ class LaurentInt:
     def max_exp(self) -> int | None:
         return max(self._c) if self._c else None
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentInt(other)
-        if not isinstance(other, LaurentInt):
-            return NotImplemented
-        return self._c == other._c
-
-    __hash__ = None  # sparse-map values; not usable as dict keys
-
-    def __repr__(self) -> str:
-        return f"LaurentInt('{self.render()}')"
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other) -> "LaurentInt":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._c)
-        for e, c in other._c.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentInt(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentInt":
-        return LaurentInt({e: -c for e, c in self._c.items()})
-
-    def __sub__(self, other) -> "LaurentInt":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentInt":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "LaurentInt":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentInt(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentInt":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = LaurentInt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale_exponents(self, k: int) -> "LaurentInt":
         """Substitute the symbol by its k-th power (k nonzero)."""
         if k == 0:
             raise ValueError("exponent scale must be nonzero")
-        return LaurentInt({e * k: c for e, c in self._c.items()})
+        return self._raw({e * k: c for e, c in self._c.items()})
 
     def evaluate(self, value: int):
         """Evaluate at an integer; exact, returns an int when it is one."""
@@ -156,45 +274,6 @@ class LaurentInt:
             total += c * Fraction(value) ** e
         return int(total) if total.denominator == 1 else total
 
-    # -- division -----------------------------------------------------------
-
-    def exact_div(self, other) -> "LaurentInt":
-        """Long division from the lowest exponent; the remainder must vanish."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            raise TypeError("divisor must be a LaurentInt or int")
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentInt()
-        bound = self.max_exp - other.max_exp  # top exponent of any exact quotient
-        lo = other.min_exp
-        unit = other._c[lo]
-        rem = dict(self._c)
-        quo: dict[int, int] = {}
-        while rem:
-            e = min(rem)
-            c = rem[e]
-            if c % unit:
-                raise ExactDivisionError(
-                    f"non-exact division: coefficient {c} at exponent {e} not "
-                    f"divisible by {unit}", remainder=LaurentInt(rem))
-            qe = e - lo
-            if qe > bound:
-                raise ExactDivisionError(
-                    "non-exact division: remainder "
-                    f"{LaurentInt(rem).render()}", remainder=LaurentInt(rem))
-            t = c // unit
-            quo[qe] = t
-            for de, dc in other._c.items():
-                ee = qe + de
-                s = rem.get(ee, 0) - t * dc
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        return LaurentInt(quo)
-
     def series_div(self, other, order: int) -> tuple["LaurentInt", bool]:
         """Expand self/other as a series up to the given exponent.
 
@@ -202,56 +281,27 @@ class LaurentInt:
         within the requested order, in which case the quotient equals
         ``exact_div``; otherwise the division did not terminate at this order.
         """
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             raise TypeError("divisor must be a LaurentInt or int")
         if order < 0:
             raise ValueError("order must be non-negative")
         if not other:
             raise DivisorUnitError("series division by zero")
-        lo = other.min_exp
-        unit = other._c[lo]
+        unit = other._c[other.min_exp]
         if unit not in (1, -1):
             raise DivisorUnitError(
                 f"series division needs a unit bottom coefficient, got {unit}")
-        if not self:
-            return LaurentInt(), True
-        rem = dict(self._c)
-        quo: dict[int, int] = {}
-        while rem:
-            e = min(rem)
-            qe = e - lo
-            if qe > order:
-                return LaurentInt(quo), False
-            t = rem[e] * unit  # unit is +-1, so this is exact division by it
-            quo[qe] = t
-            for de, dc in other._c.items():
-                ee = qe + de
-                s = rem.get(ee, 0) - t * dc
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        return LaurentInt(quo), True
-
-    # -- presentation and interchange ----------------------------------------
+        quo, rem = self._long_div(other, order)
+        return quo, not rem
 
     def render(self, symbol: str = "L") -> str:
-        if not self._c:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.items():
-            mag = abs(c)
+        def spell(e: int, mag: int) -> str:
             if e == 0:
-                body = str(mag)
-            else:
-                sym = symbol if e == 1 else f"{symbol}^{e}"
-                body = sym if mag == 1 else f"{mag}·{sym}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                return str(mag)
+            sym = symbol if e == 1 else f"{symbol}^{e}"
+            return sym if mag == 1 else f"{mag}·{sym}"
+        return self._render(spell)
 
     def to_coeff_json(self) -> dict[str, int]:
         """Coefficient map with decimal string keys, lowest exponent first."""
@@ -259,19 +309,19 @@ class LaurentInt:
 
     @classmethod
     def from_coeff_json(cls, data: dict) -> "LaurentInt":
-        try:
-            coeffs = {int(e): int(c) for e, c in data.items()}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"malformed coefficient map: {data!r}") from exc
+        """Read a coefficient map: decimal string keys, int values.  Floats,
+        bools and strings are rejected, never coerced."""
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed coefficient map: {data!r}")
+        coeffs = {}
+        for e, c in data.items():
+            if not isinstance(e, str) or type(c) is not int:  # bools are ints
+                raise ValueError(f"malformed coefficient entry {e!r}: {c!r}")
+            try:
+                coeffs[int(e)] = c
+            except ValueError as exc:
+                raise ValueError(f"malformed exponent {e!r}") from exc
         return cls(coeffs)
-
-
-def _coerce(value) -> "LaurentInt":
-    if isinstance(value, LaurentInt):
-        return value
-    if isinstance(value, int):
-        return LaurentInt(value)
-    return NotImplemented
 
 
 #: the Lefschetz symbol itself, for building polynomials by arithmetic

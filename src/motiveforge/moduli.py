@@ -213,7 +213,8 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     fibration factor with per-component exactness, the twisted Kummer term,
     the assembled class, the truncation comparison against the odd case below
     weight 2g-2, and the two closed-form comparators (diagnostic only: they
-    are checked per weight, never used as the computation path).
+    are checked per weight, never used as the computation path).  The series
+    order defaults to 8g, the one default the command line also uses.
     """
     _check_genus(genus)
     if order is None:

@@ -286,6 +286,8 @@ class MotiveClass:
         if not isinstance(data, dict) or data.get("schema") != JSON_SCHEMA:
             raise ValueError(f"expected a {JSON_SCHEMA} record")
         genus = data.get("genus")
+        if isinstance(genus, bool):  # a bool is an int; true is not genus 1
+            raise ValueError(f"genus must be a positive integer, got {genus!r}")
         raw = data.get("lambda", {})
         try:
             components = {int(a): LaurentInt.from_coeff_json(p)

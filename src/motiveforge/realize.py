@@ -12,115 +12,42 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import ExactDivisionError, LaurentInt
+from .laurent import (ExactDivisionError, LaurentInt, _Exponents,
+                      _SparseLaurent)
 from .motive import MotiveClass
 from .moduli import PipelineIntegrityError
 
 
-class BiLaurent:
-    """Integer Laurent polynomials in two symbols x, y; sparse {(i, j): c}."""
+class BiLaurent(_SparseLaurent):
+    """Integer Laurent polynomials in two symbols x, y; sparse {(i, j): c}.
 
-    __slots__ = ("_c",)
+    The arithmetic is ``laurent._SparseLaurent``'s; long division takes the
+    bottom term in graded-lex order (total degree, then the x exponent).
+    """
 
-    def __init__(self, value=0):
-        if isinstance(value, BiLaurent):
-            self._c = value._c
-        elif isinstance(value, int):
-            self._c = {(0, 0): value} if value else {}
-        elif isinstance(value, dict):
-            for m, c in value.items():
-                if (not isinstance(m, tuple) or len(m) != 2
-                        or not all(isinstance(e, int) for e in m)
-                        or not isinstance(c, int)):
-                    raise TypeError("expected {(i, j): int} entries")
-            self._c = {m: c for m, c in value.items() if c}
-        else:
-            raise TypeError(f"cannot build a BiLaurent from {type(value).__name__}")
+    __slots__ = ()
+    _EXP = _Exponents(
+        zero=(0, 0),
+        valid=lambda m: (isinstance(m, tuple) and len(m) == 2
+                         and all(isinstance(e, int) for e in m)),
+        add=lambda m, n: (m[0] + n[0], m[1] + n[1]),
+        sub=lambda m, n: (m[0] - n[0], m[1] - n[1]),
+        degree=sum, bottom=lambda m: (m[0] + m[1], m[0]))
+
+    # Bound on the class itself, so that per-class instrumentation
+    # (bench/tracing.py) patches the two-symbol type alone.
+    __mul__ = __rmul__ = _SparseLaurent.__mul__
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiLaurent":
         return cls({(i, j): coeff})
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
     def coeff(self, i: int, j: int) -> int:
         return self._c.get((i, j), 0)
 
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._c.items())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = BiLaurent(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self._c == other._c
-
-    __hash__ = None
-
-    def __add__(self, other) -> "BiLaurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._c)
-        for m, c in other._c.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return BiLaurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiLaurent":
-        return BiLaurent({m: -c for m, c in self._c.items()})
-
-    def __sub__(self, other) -> "BiLaurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiLaurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "BiLaurent":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._c.items():
-            for (i2, j2), c2 in other._c.items():
-                m = (i1 + i2, j1 + j2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return BiLaurent(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiLaurent":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = BiLaurent(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def swap(self) -> "BiLaurent":
         """Exchange the two symbols."""
-        return BiLaurent({(j, i): c for (i, j), c in self._c.items()})
+        return self._raw({(j, i): c for (i, j), c in self._c.items()})
 
     def specialize_diagonal(self) -> LaurentInt:
         """Set both symbols to a single one: (i, j) collapses to i + j."""
@@ -130,82 +57,20 @@ class BiLaurent:
             out[e] = out.get(e, 0) + c
         return LaurentInt(out)
 
-    def exact_div(self, other: "BiLaurent") -> "BiLaurent":
-        """Graded-lex long division from the bottom; remainder must vanish."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            raise TypeError("divisor must be a BiLaurent or int")
-        if not other:
-            raise ZeroDivisionError("division by zero")
-        if not self:
-            return BiLaurent()
-        key = _graded_lex
-        dmin = min(other._c, key=key)
-        unit = other._c[dmin]
-        bound = (max(i + j for i, j in self._c)
-                 - max(i + j for i, j in other._c))
-        rem = dict(self._c)
-        quo: dict[tuple[int, int], int] = {}
-        while rem:
-            m = min(rem, key=key)
-            c = rem[m]
-            if c % unit:
-                raise ExactDivisionError(
-                    f"non-exact bivariate division at {m}: {c} not divisible "
-                    f"by {unit}", remainder=BiLaurent(rem))
-            qm = (m[0] - dmin[0], m[1] - dmin[1])
-            if qm[0] + qm[1] > bound:
-                raise ExactDivisionError(
-                    "non-exact bivariate division: remainder left",
-                    remainder=BiLaurent(rem))
-            t = c // unit
-            quo[qm] = t
-            for dm, dc in other._c.items():
-                mm = (qm[0] + dm[0], qm[1] + dm[1])
-                s = rem.get(mm, 0) - t * dc
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return BiLaurent(quo)
-
     def render(self, sx: str = "x", sy: str = "y") -> str:
-        if not self._c:
-            return "0"
-        parts: list[str] = []
-        for (i, j), c in self.items():
-            factors = []
-            if abs(c) != 1 or (i == 0 and j == 0):
-                factors.append(str(abs(c)))
+        def spell(m: tuple[int, int], mag: int) -> str:
+            i, j = m
+            factors = [str(mag)] if mag != 1 or m == (0, 0) else []
             if i:
                 factors.append(sx if i == 1 else f"{sx}^{i}")
             if j:
                 factors.append(sy if j == 1 else f"{sy}^{j}")
-            body = "·".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            return "·".join(factors)
+        return self._render(spell)
 
     def to_terms_json(self) -> list[list[int]]:
         """Sorted [i, j, coeff] triples."""
         return [[i, j, c] for (i, j), c in self.items()]
-
-    def __repr__(self) -> str:
-        return f"BiLaurent('{self.render()}')"
-
-
-def _coerce(value):
-    if isinstance(value, BiLaurent):
-        return value
-    if isinstance(value, int):
-        return BiLaurent(value)
-    return NotImplemented
-
-
-def _graded_lex(m: tuple[int, int]) -> tuple[int, int]:
-    return (m[0] + m[1], m[0])
 
 
 X = BiLaurent.monomial(1, 0)

@@ -18,11 +18,6 @@ class DegenerateDenominatorError(ZeroDivisionError):
     """Closed-form kernel evaluation with coinciding denominator factors."""
 
 
-def default_order(genus: int) -> int:
-    """Default truncation: twice the top binomial index, with headroom."""
-    return 4 * genus + 2
-
-
 class MotiveSeries:
     __slots__ = ("_g", "_coeffs")
 
@@ -85,20 +80,18 @@ class MotiveSeries:
         return f"MotiveSeries(g={self._g}, [{inner}])"
 
 
-def geometric(u_exp: int, genus: int, order: int | None = None) -> MotiveSeries:
-    """(1 - L^u_exp · T)^-1: the coefficient of T^n is L^(n·u_exp)."""
-    if order is None:
-        order = default_order(genus)
+def geometric(u_exp: int, genus: int, order: int) -> MotiveSeries:
+    """(1 - L^u_exp · T)^-1 up to T^order: the coefficient of T^n is
+    L^(n·u_exp)."""
     if order < 0:
         raise ValueError("order must be non-negative")
     return MotiveSeries(genus, [MotiveClass.tate(genus, n * u_exp)
                                 for n in range(order + 1)])
 
 
-def binomial_series(genus: int, order: int | None = None) -> MotiveSeries:
-    """(1 + T)^(h¹C): the coefficient of T^a is λ_a, zero above 2g."""
-    if order is None:
-        order = default_order(genus)
+def binomial_series(genus: int, order: int) -> MotiveSeries:
+    """(1 + T)^(h¹C) up to T^order: the coefficient of T^a is λ_a, zero
+    above 2g."""
     coeffs = []
     for a in range(order + 1):
         if a <= 2 * genus:

@@ -109,7 +109,7 @@ def test_verify_macdonald_suite():
     assert "macdonald_triple_agreement" in res.stdout
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     usage = run_cli("moduli", "n0", "--genus", "2", "--nope")
     assert usage.returncode == 2
     integrity = run_cli("big-f", "--genus", "2", "--exponents", "0", "0", "1",
@@ -118,6 +118,24 @@ def test_exit_codes():
     assert "DegenerateDenominatorError" in integrity.stderr
     bad_parse = run_cli("realize", "--betti", stdin="{not json")
     assert bad_parse.returncode == 1
+    # usage errors the parser cannot see: exit 2 with one line on stderr
+    for args in (("moduli", "pairs", "--genus", "2"),
+                 ("moduli", "pairs", "--genus", "2", "--degree", "6"),
+                 ("moduli", "n0", "--genus", "2"),
+                 ("sym-power", "-n", "2"),
+                 ("realize", "--betti", "--in", str(tmp_path / "missing.json")),
+                 ("sym-power", "--genus", "2", "-n", "2",
+                  "--out", str(tmp_path / "no-such-dir" / "class.json"))):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "usage error" in res.stderr
+    # rank vectors hold ints only
+    for ranks in ('{"0":1.5}', '{"0":true}', '[1, 2]'):
+        res = run_cli("sym-power", "-n", "2", "--ranks", ranks)
+        assert res.returncode == 1, ranks
+        assert "ValueError" in res.stderr
 
 
 def test_out_file(tmp_path):

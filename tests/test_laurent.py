@@ -127,3 +127,8 @@ def test_json_fragment_round_trip():
     assert LaurentInt.from_coeff_json(blob) == p
     with pytest.raises(ValueError):
         LaurentInt.from_coeff_json({"x": 1})
+    # floats, bools and numeric strings are rejected, never coerced
+    for bad in ({"0": 1.5, "1": True}, {"0": 1.5}, {"1": True}, {"0": "3"},
+                {"0.5": 1}, [1, 2]):
+        with pytest.raises(ValueError):
+            LaurentInt.from_coeff_json(bad)

@@ -187,6 +187,13 @@ def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": 2,
                                     "lambda": {"x": {}}})
+    with pytest.raises(ValueError):
+        MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": True,
+                                    "lambda": {"0": {"0": 1}}})
+    for coeff in (1.5, True, "1"):
+        with pytest.raises(ValueError):
+            MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": 2,
+                                        "lambda": {"1": {"0": coeff}}})
 
 
 def test_randomized_dual_twist_serialization():

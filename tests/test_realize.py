@@ -129,3 +129,32 @@ def test_bilaurent_render():
     assert (1 + X * Y).render() == "1 + x·y"
     assert (2 * X ** 2 * Y - Y).render() == "-y + 2·x^2·y"
     assert BiLaurent().render() == "0"
+
+
+def test_one_and_two_symbol_polynomials_never_mix():
+    assert not issubclass(BiLaurent, LaurentInt)
+    assert not issubclass(LaurentInt, BiLaurent)
+    for lhs, rhs in ((L, X), (X, L)):
+        with pytest.raises(TypeError):
+            lhs + rhs
+        with pytest.raises(TypeError):
+            lhs - rhs
+        with pytest.raises(TypeError):
+            lhs * rhs
+        with pytest.raises(TypeError):
+            lhs.exact_div(rhs)
+        assert (lhs == rhs) is False
+        assert (lhs != rhs) is True
+    assert (LaurentInt(1) == BiLaurent(1)) is False
+    with pytest.raises(TypeError):
+        MotiveClass(2, {0: BiLaurent(1)})
+    with pytest.raises(TypeError):
+        MotiveClass(2, {1: X * Y})
+    with pytest.raises(TypeError):
+        LaurentInt(X)
+    with pytest.raises(TypeError):
+        BiLaurent(L)
+    with pytest.raises(TypeError):
+        LaurentInt({(1, 0): 1})
+    with pytest.raises(TypeError):
+        BiLaurent({1: 1})

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import motiveforge
+from motiveforge import macdonald
 from motiveforge.verify import SUITES, run
 
 
@@ -45,3 +51,37 @@ def test_render_text_one_line_per_check():
     lines = rep.render_text().splitlines()
     assert len(lines) == len(rep.results) + 1  # plus the summary line
     assert lines[0].startswith("PASS")
+
+
+# A planted defect: every symmetric power gains a spurious +1.
+_PLANTED = """
+import json
+import motiveforge.macdonald as macdonald
+from motiveforge import verify
+real = macdonald.sym_power_curve
+macdonald.sym_power_curve = lambda g, n: real(g, n) + real(g, 0)
+rep = verify.run("macdonald", (1, 2), cases=5)
+print(json.dumps({r.name: r.status for r in rep.results}))
+"""
+
+
+def test_planted_defect_fails_under_optimize():
+    # python -O strips assert statements; the checks must still fail
+    src = str(Path(motiveforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-O", "-c", _PLANTED],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"macdonald_triple_agreement": "fail",
+                                      "macdonald_curve_stability": "fail"}
+
+
+def test_crashing_check_is_recorded_as_fail(monkeypatch):
+    def crash(genus, n):
+        raise KeyError("planted")
+    monkeypatch.setattr(macdonald, "sym_power_curve", crash)
+    rep = run("macdonald", (1, 2), cases=5)
+    assert [r.status for r in rep.results] == ["fail", "fail"]
+    assert all(r.details == "KeyError: 'planted'" for r in rep.results)
+    # the other suites still run and pass
+    assert not run("jacobians", (2, 2), cases=5).failed
