@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
 
@@ -43,7 +44,7 @@ class _Exponents(NamedTuple):
     add: Callable
     sub: Callable
     degree: Callable[[object], int]  # total degree; bounds an exact quotient
-    bottom: Callable | None  # sort key whose least term division takes first
+    bottom: Callable | None  # bottom-order key (None: plain order)
 
 
 class _SparseLaurent:
@@ -169,33 +170,48 @@ class _SparseLaurent:
 
     def _long_div(self, other, top: int):
         """(quotient, remainder map) of dividing by nonzero ``other`` from
-        the bottom term until the next quotient term passes degree ``top``."""
+        the bottom term until the next quotient term passes degree ``top``.
+
+        The bottom terms come from a heap of remainder exponents (the
+        exponent itself, or ``(key, exponent)`` when the order has a key).
+        Each division step only adds terms strictly above the term it
+        cancels, so an exponent is pushed once, when it first enters the
+        remainder; a cancelled one stays in the map as 0 and is skipped
+        when popped."""
         add, sub, degree, key = (self._EXP.add, self._EXP.sub,
                                  self._EXP.degree, self._EXP.bottom)
         lo = min(other._c, key=key)
         unit = other._c[lo]
+        terms = other._c.items()
         rem = dict(self._c)
+        heap = list(rem) if key is None else [(key(e), e) for e in rem]
+        heapify(heap)
         quo: dict = {}
-        while rem:
-            e = min(rem, key=key)
+        while heap:
+            e = heappop(heap)
+            if key is not None:
+                e = e[1]
+            c = rem[e]
+            if not c:
+                continue
             qe = sub(e, lo)
             if degree(qe) > top:
-                break
-            c = rem[e]
+                return self._raw(quo), {k: v for k, v in rem.items() if v}
             if c % unit:
                 raise ExactDivisionError(
                     f"non-exact division: coefficient {c} at exponent {e} not "
-                    f"divisible by {unit}", remainder=self._raw(rem))
+                    f"divisible by {unit}",
+                    remainder=self._raw({k: v for k, v in rem.items() if v}))
             t = c // unit
             quo[qe] = t
-            for de, dc in other._c.items():
+            for de, dc in terms:
                 ee = add(qe, de)
-                s = rem.get(ee, 0) - t * dc
-                if s:
-                    rem[ee] = s
+                if ee in rem:
+                    rem[ee] -= t * dc
                 else:
-                    del rem[ee]
-        return self._raw(quo), rem
+                    rem[ee] = -t * dc
+                    heappush(heap, ee if key is None else (key(ee), ee))
+        return self._raw(quo), {}
 
     def exact_div(self, other):
         """Long division from the bottom term; the remainder must vanish."""
@@ -310,7 +326,8 @@ class LaurentInt(_SparseLaurent):
     @classmethod
     def from_coeff_json(cls, data: dict) -> "LaurentInt":
         """Read a coefficient map: decimal string keys, int values.  Floats,
-        bools and strings are rejected, never coerced."""
+        bools and strings are rejected, never coerced, and so are two keys
+        naming one exponent ("1" and "01")."""
         if not isinstance(data, dict):
             raise ValueError(f"malformed coefficient map: {data!r}")
         coeffs = {}
@@ -318,9 +335,12 @@ class LaurentInt(_SparseLaurent):
             if not isinstance(e, str) or type(c) is not int:  # bools are ints
                 raise ValueError(f"malformed coefficient entry {e!r}: {c!r}")
             try:
-                coeffs[int(e)] = c
+                exp = int(e)
             except ValueError as exc:
                 raise ValueError(f"malformed exponent {e!r}") from exc
+            if exp in coeffs:
+                raise ValueError(f"duplicate exponent {e!r} in {data!r}")
+            coeffs[exp] = c
         return cls(coeffs)
 
 

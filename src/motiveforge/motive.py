@@ -181,12 +181,13 @@ class MotiveClass:
             for a, p in self._lam.items()})
 
     def weight_part(self, m: int) -> "MotiveClass":
-        """The terms λ_a·L^b with a + 2b = m."""
+        """The terms λ_a·L^b with a + 2b = m: one b per λ-index."""
         out = {}
         for a, p in self._lam.items():
-            picked = {e: c for e, c in p.items() if a + 2 * e == m}
-            if picked:
-                out[a] = LaurentInt(picked)
+            b, odd = divmod(m - a, 2)
+            c = 0 if odd else p.coeff(b)
+            if c:
+                out[a] = LaurentInt._raw({b: c})
         return MotiveClass(self._g, out)
 
     def weights(self) -> list[int]:
@@ -290,10 +291,13 @@ class MotiveClass:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         raw = data.get("lambda", {})
         try:
-            components = {int(a): LaurentInt.from_coeff_json(p)
-                          for a, p in raw.items()}
+            items = [(int(a), LaurentInt.from_coeff_json(p))
+                     for a, p in raw.items()]
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"malformed lambda map: {raw!r}") from exc
+        components = dict(items)
+        if len(components) != len(items):  # "1" and "01" name one index
+            raise ValueError(f"duplicate λ-index in lambda map: {raw!r}")
         return cls(genus, components)
 
 

@@ -15,7 +15,7 @@ from math import comb
 from .laurent import (ExactDivisionError, LaurentInt, _Exponents,
                       _SparseLaurent)
 from .motive import MotiveClass
-from .moduli import PipelineIntegrityError
+from .moduli import PipelineIntegrityError, _check_genus
 
 
 class BiLaurent(_SparseLaurent):
@@ -80,34 +80,34 @@ Y = BiLaurent.monomial(0, 1)
 def betti(x: MotiveClass) -> LaurentInt:
     """Betti realization: λ_a·L^b goes to C(2g,a)·t^(a+2b)."""
     g2 = 2 * x.genus
-    out = LaurentInt()
+    out: dict[int, int] = {}
     for a, p in x.components().items():
-        out = out + p.scale_exponents(2) * LaurentInt.monomial(a, comb(g2, a))
-    return out
-
-
-def _lambda_hodge(genus: int, a: int) -> BiLaurent:
-    return BiLaurent({
-        (i, a - i): comb(genus, i) * comb(genus, a - i)
-        for i in range(max(0, a - genus), min(a, genus) + 1)})
+        rank = comb(g2, a)
+        for e, c in p.items():
+            k = a + 2 * e
+            out[k] = out.get(k, 0) + rank * c
+    return LaurentInt._raw({k: c for k, c in out.items() if c})
 
 
 def hodge(x: MotiveClass) -> BiLaurent:
     """Hodge realization: λ_a goes to the (g,g)-bigraded exterior ranks,
     L to xy."""
-    out = BiLaurent()
+    g = x.genus
+    out: dict[tuple[int, int], int] = {}
     for a, p in x.components().items():
-        base = _lambda_hodge(x.genus, a)
+        base = [(i, a - i, comb(g, i) * comb(g, a - i))
+                for i in range(max(0, a - g), min(a, g) + 1)]
         for e, c in p.items():
-            out = out + base * BiLaurent.monomial(e, e, c)
-    return out
+            for i, j, r in base:
+                k = (i + e, j + e)
+                out[k] = out.get(k, 0) + r * c
+    return BiLaurent._raw({k: c for k, c in out.items() if c})
 
 
 def hn_closed(genus: int) -> LaurentInt:
     """Closed Betti polynomial of the odd-determinant moduli space:
     ((1+t³)^2g - t^2g (1+t)^2g) / ((1-t²)(1-t⁴))."""
-    if genus < 2:
-        raise ValueError("defined for genus >= 2")
+    _check_genus(genus)
     t = LaurentInt.monomial(1)
     num = (1 + t ** 3) ** (2 * genus) - t ** (2 * genus) * (1 + t) ** (2 * genus)
     den = (1 - t ** 2) * (1 - t ** 4)
@@ -121,8 +121,7 @@ def hn_closed(genus: int) -> LaurentInt:
 def hodge_closed(genus: int) -> BiLaurent:
     """Closed Hodge polynomial of the odd-determinant moduli space:
     ((1+x²y)^g (1+xy²)^g - (xy)^g (1+x)^g (1+y)^g) / ((1-xy)(1-x²y²))."""
-    if genus < 2:
-        raise ValueError("defined for genus >= 2")
+    _check_genus(genus)
     xy = X * Y
     num = ((1 + X ** 2 * Y) ** genus * (1 + X * Y ** 2) ** genus
            - xy ** genus * (1 + X) ** genus * (1 + Y) ** genus)

@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import motiveforge
 from motiveforge.macdonald import sym_power_curve
 from motiveforge.motive import MotiveClass
+
+# the child process runs the package this test imported
+_SRC = str(Path(motiveforge.__file__).resolve().parents[1])
 
 
 def run_cli(*args, stdin=None, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -132,3 +132,7 @@ def test_json_fragment_round_trip():
                 {"0.5": 1}, [1, 2]):
         with pytest.raises(ValueError):
             LaurentInt.from_coeff_json(bad)
+    # two keys naming one exponent are rejected, not overwritten
+    for dup in ({"1": 1, "01": 2}, {"-2": 1, "-02": 1}, {"3": 1, "+3": -1}):
+        with pytest.raises(ValueError, match="duplicate exponent"):
+            LaurentInt.from_coeff_json(dup)

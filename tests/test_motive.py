@@ -194,6 +194,16 @@ def test_json_rejects_garbage():
         with pytest.raises(ValueError):
             MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": 2,
                                         "lambda": {"1": {"0": coeff}}})
+    # two keys naming one λ-index, or one exponent, are rejected
+    for lam in ({"1": {"0": 1}, "01": {"0": 2}},
+                {"0": {"0": 1}, "1": {"2": 1, "02": 1}}):
+        with pytest.raises(ValueError):
+            MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": 2,
+                                        "lambda": lam})
+    # distinct indices that fold onto one canonical index are not duplicates
+    folded = {"schema": "motive-class/v1", "genus": 2,
+              "lambda": {"1": {"1": 1}, "3": {"0": 1}}}
+    assert MotiveClass.from_json_dict(folded) == MotiveClass(2, {1: lpow(1, 2)})
 
 
 def test_randomized_dual_twist_serialization():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from motiveforge.laurent import ExactDivisionError, L, LaurentInt, lpow
-from motiveforge.moduli import PipelineIntegrityError, kummer, n0_odd
+from motiveforge.moduli import (PipelineIntegrityError, kummer, n0_odd,
+                                n0_odd_closed)
 from motiveforge.motive import MotiveClass
 from motiveforge.realize import (BiLaurent, X, Y, betti, hodge, hodge_closed,
                                  hodge_diamond_rows, hn_closed,
@@ -93,6 +94,38 @@ def test_hodge_closed():
     for g in (2, 3, 4):
         assert hodge(n0_odd(g)) == hodge_closed(g), g
         assert hodge_closed(g).specialize_diagonal() == hn_closed(g), g
+
+
+def test_closed_forms_reject_bad_genus():
+    for closed in (hn_closed, hodge_closed):
+        for genus in (2.0, 1, 0, -3, True, "2"):
+            with pytest.raises(ValueError, match="genus must be an integer >= 2"):
+                closed(genus)
+
+
+@pytest.mark.parametrize("g", [8, 12, 16, 20, 24])
+def test_large_genus_realization_cross_checks(g):
+    closed = n0_odd_closed(g)
+    h = hodge_closed(g)
+    assert h == hodge(closed)
+    assert h.specialize_diagonal() == hn_closed(g) == betti(closed)
+
+
+def test_weight_split_matches_hodge_slices():
+    rng = random.Random(29)
+    for _ in range(150):
+        x = _random_class(rng)
+        for m in range(-8, 20):
+            picked = {a: LaurentInt({e: c for e, c in p.items() if a + 2 * e == m})
+                      for a, p in x.components().items()}
+            assert x.weight_part(m) == MotiveClass(x.genus, picked), (x, m)
+        h = hodge(x)
+        levels: dict[int, int] = {}
+        for (i, j), _ in h.items():
+            levels[i + j] = max(levels.get(i + j, 0), abs(i - j))
+        assert level_per_weight(x) == levels
+        assert hodge_diamond_rows(x) == sorted(
+            (i + j, i, j, c) for (i, j), c in h.items())
 
 
 def test_hodge_specializes_to_betti():
