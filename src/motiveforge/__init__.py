@@ -11,8 +11,9 @@ from .laurent import (DivisorUnitError, ExactDivisionError, L, LaurentInt,
                       lpow)
 from .motive import (GenusMismatchError, MotiveClass, UnsupportedProductError,
                      WeightPart, canonicalize, lambda_binomial)
-from .series import (DegenerateDenominatorError, MotiveSeries, big_f,
-                     binomial_series, geometric)
+from .series import (DegenerateDenominatorError, MotiveSeries,
+                     SeriesOrderError, big_f, binomial_series, geometric,
+                     projective_series)
 from .macdonald import (EnumerationGuardError, curve_ranks, sym_power_curve,
                         sym_power_bruteforce, sym_power_ranks)
 from .moduli import (PipelineIntegrityError, PipelineReport, Stage, kummer,
@@ -32,13 +33,14 @@ __all__ = [
     "DivisorUnitError", "EnumerationGuardError", "ExactDivisionError",
     "GenusMismatchError", "JacobianDecomposition", "L", "LaurentInt",
     "MotiveClass", "MotiveSeries", "PipelineIntegrityError", "PipelineReport",
-    "Stage", "UnsupportedProductError", "WeightPart", "betti", "big_f",
+    "SeriesOrderError", "Stage", "UnsupportedProductError", "WeightPart", "betti", "big_f",
     "binomial_series", "canonicalize", "closed_multiplicities", "curve_ranks",
     "decompose", "factors_from_weight_part", "geometric",
     "hodge", "hodge_closed", "hodge_diamond_rows", "hn_closed", "kummer",
     "lambda_binomial", "level_per_weight", "lpow", "m_omega_s", "n0_even",
     "n0_even_stable", "n0_odd", "n0_odd_chain", "n0_odd_closed",
-    "omega_index", "pair_moduli", "pw_classes", "range_sum",
+    "omega_index", "pair_moduli", "projective_series", "pw_classes",
+    "range_sum",
     "ss_preimage", "sym_power_bruteforce", "sym_power_curve",
     "sym_power_ranks",
 ]

@@ -10,9 +10,11 @@ a subclass names: ``LaurentInt`` in the one symbol L, ``realize.BiLaurent``
 in two.  The types never mix; combining them raises ``TypeError``.
 
 ``exact_div`` fails loudly, carrying the remainder, when the quotient is not
-an integer Laurent polynomial.  ``LaurentInt.series_div`` expands
-``self/other`` as a power series in L up to a requested exponent, which only
-needs the divisor's bottom coefficient to be a unit.
+an integer Laurent polynomial; it stops as soon as a quotient term leaves the
+box that the Newton polytopes give every exact quotient, so it always ends.
+``LaurentInt.series_div`` expands ``self/other`` as a power series in L up to
+a requested exponent, which only needs the divisor's bottom coefficient to be
+a unit.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class _Exponents(NamedTuple):
     valid: Callable[[object], bool]  # accepted by the public constructor
     add: Callable
     sub: Callable
-    degree: Callable[[object], int]  # total degree; bounds an exact quotient
+    # (numerator exponents, divisor exponents) -> test of a quotient
+    # exponent against the box holding the support of every exact quotient
+    quotient_box: Callable
     bottom: Callable | None  # bottom-order key (None: plain order)
 
 
@@ -168,9 +172,9 @@ class _SparseLaurent:
 
     # -- division -----------------------------------------------------------
 
-    def _long_div(self, other, top: int):
+    def _long_div(self, other, inside: Callable):
         """(quotient, remainder map) of dividing by nonzero ``other`` from
-        the bottom term until the next quotient term passes degree ``top``.
+        the bottom term until the next quotient exponent fails ``inside``.
 
         The bottom terms come from a heap of remainder exponents (the
         exponent itself, or ``(key, exponent)`` when the order has a key).
@@ -178,8 +182,7 @@ class _SparseLaurent:
         cancels, so an exponent is pushed once, when it first enters the
         remainder; a cancelled one stays in the map as 0 and is skipped
         when popped."""
-        add, sub, degree, key = (self._EXP.add, self._EXP.sub,
-                                 self._EXP.degree, self._EXP.bottom)
+        add, sub, key = self._EXP.add, self._EXP.sub, self._EXP.bottom
         lo = min(other._c, key=key)
         unit = other._c[lo]
         terms = other._c.items()
@@ -195,7 +198,7 @@ class _SparseLaurent:
             if not c:
                 continue
             qe = sub(e, lo)
-            if degree(qe) > top:
+            if not inside(qe):
                 return self._raw(quo), {k: v for k, v in rem.items() if v}
             if c % unit:
                 raise ExactDivisionError(
@@ -222,10 +225,8 @@ class _SparseLaurent:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return self._raw({})
-        degree = self._EXP.degree
-        # the top total degree of any exact quotient
-        top = max(map(degree, self._c)) - max(map(degree, other._c))
-        quo, rem = self._long_div(other, top)
+        inside = self._EXP.quotient_box(self._c, other._c)
+        quo, rem = self._long_div(other, inside)
         if rem:
             left = self._raw(rem)
             raise ExactDivisionError(
@@ -247,6 +248,12 @@ class _SparseLaurent:
         return " ".join(parts) or "0"
 
 
+def _one_symbol_box(num, den) -> Callable[[int], bool]:
+    # The first quotient exponent is min(num) - min(den), the box's lower
+    # end, and later ones only grow, so only the upper end is tested.
+    return (max(num) - max(den)).__ge__
+
+
 class LaurentInt(_SparseLaurent):
     """Integer Laurent polynomials in the single symbol L; sparse {e: c}."""
 
@@ -254,7 +261,7 @@ class LaurentInt(_SparseLaurent):
     _EXP = _Exponents(zero=0,
                       valid=lambda e: isinstance(e, int),
                       add=operator.add, sub=operator.sub,
-                      degree=lambda e: e, bottom=None)
+                      quotient_box=_one_symbol_box, bottom=None)
 
     # Bound on the class itself, so that per-class instrumentation
     # (bench/tracing.py) patches the one-symbol type alone.
@@ -308,7 +315,7 @@ class LaurentInt(_SparseLaurent):
         if unit not in (1, -1):
             raise DivisorUnitError(
                 f"series division needs a unit bottom coefficient, got {unit}")
-        quo, rem = self._long_div(other, order)
+        quo, rem = self._long_div(other, order.__ge__)
         return quo, not rem
 
     def render(self, symbol: str = "L") -> str:

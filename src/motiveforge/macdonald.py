@@ -3,7 +3,9 @@
 Three routes, deliberately independent of each other:
 
 * ``sym_power_curve`` works at motive level for a genus-g curve, extracting
-  the T^n coefficient of the MacDonald kernel (1+T)^(h¹C)/((1-T)(1-LT)).
+  the T^n coefficient of the MacDonald kernel (1+T)^(h¹C)/((1-T)(1-LT)) from
+  one Cauchy product: the binomial series (1+T)^(h¹C) times the projective
+  series 1/((1-T)(1-LT)), whose T^k coefficient is the class of P^k.
 * ``sym_power_ranks`` works at rank level for an arbitrary graded object,
   multiplying the classical product kernel with binomial coefficients.
 * ``sym_power_bruteforce`` counts invariants directly: multisets of n basis
@@ -18,7 +20,7 @@ from math import comb
 
 from .laurent import LaurentInt
 from .motive import MotiveClass
-from .series import binomial_series, geometric
+from .series import binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
 ENUMERATION_GUARD = 10_000_000
@@ -39,8 +41,7 @@ def sym_power_curve(genus: int, n: int) -> MotiveClass:
         raise ValueError(f"genus must be a positive integer, got {genus!r}")
     if n < 0:
         raise ValueError("symmetric power index must be non-negative")
-    f = binomial_series(genus, n) * geometric(0, genus, n) * geometric(1, genus, n)
-    return f[n]
+    return (binomial_series(genus, n) * projective_series(genus, n))[n]
 
 
 def _validated_ranks(b: dict) -> dict[int, int]:

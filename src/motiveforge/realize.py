@@ -18,11 +18,23 @@ from .motive import MotiveClass
 from .moduli import PipelineIntegrityError, _check_genus
 
 
+def _two_symbol_box(num, den):
+    """Test of a quotient exponent against the box [min(num) - min(den),
+    max(num) - max(den)] on each axis: the Newton polytope of an exact
+    quotient q is that of num less that of den, so q's exponents stay
+    inside it."""
+    (nx, ny), (dx, dy) = zip(*num), zip(*den)
+    x0, x1 = min(nx) - min(dx), max(nx) - max(dx)
+    y0, y1 = min(ny) - min(dy), max(ny) - max(dy)
+    return lambda m: x0 <= m[0] <= x1 and y0 <= m[1] <= y1
+
+
 class BiLaurent(_SparseLaurent):
     """Integer Laurent polynomials in two symbols x, y; sparse {(i, j): c}.
 
     The arithmetic is ``laurent._SparseLaurent``'s; long division takes the
-    bottom term in graded-lex order (total degree, then the x exponent).
+    bottom term in graded-lex order (total degree, then the x exponent) and
+    stops once a quotient exponent leaves the Newton box of exact quotients.
     """
 
     __slots__ = ()
@@ -32,7 +44,7 @@ class BiLaurent(_SparseLaurent):
                          and all(isinstance(e, int) for e in m)),
         add=lambda m, n: (m[0] + n[0], m[1] + n[1]),
         sub=lambda m, n: (m[0] - n[0], m[1] - n[1]),
-        degree=sum, bottom=lambda m: (m[0] + m[1], m[0]))
+        quotient_box=_two_symbol_box, bottom=lambda m: (m[0] + m[1], m[0]))
 
     # Bound on the class itself, so that per-class instrumentation
     # (bench/tracing.py) patches the two-symbol type alone.

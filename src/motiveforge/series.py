@@ -14,8 +14,18 @@ from .laurent import LaurentInt
 from .motive import MotiveClass, UnsupportedProductError, lambda_binomial
 
 
+#: highest truncation order the series constructors build; far above the
+#: 8g the pipelines use, and low enough that ``projective_series``, whose
+#: size grows with the square of the order, stays small
+SERIES_ORDER_GUARD = 1_000
+
+
 class DegenerateDenominatorError(ZeroDivisionError):
     """Closed-form kernel evaluation with coinciding denominator factors."""
+
+
+class SeriesOrderError(ValueError):
+    """A series constructor was asked for an order above SERIES_ORDER_GUARD."""
 
 
 class MotiveSeries:
@@ -80,11 +90,18 @@ class MotiveSeries:
         return f"MotiveSeries(g={self._g}, [{inner}])"
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order > SERIES_ORDER_GUARD:
+        raise SeriesOrderError(
+            f"series order {order} exceeds the guard {SERIES_ORDER_GUARD}")
+
+
 def geometric(u_exp: int, genus: int, order: int) -> MotiveSeries:
     """(1 - L^u_exp · T)^-1 up to T^order: the coefficient of T^n is
     L^(n·u_exp)."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    _check_order(order)
     return MotiveSeries(genus, [MotiveClass.tate(genus, n * u_exp)
                                 for n in range(order + 1)])
 
@@ -92,6 +109,7 @@ def geometric(u_exp: int, genus: int, order: int) -> MotiveSeries:
 def binomial_series(genus: int, order: int) -> MotiveSeries:
     """(1 + T)^(h¹C) up to T^order: the coefficient of T^a is λ_a, zero
     above 2g."""
+    _check_order(order)
     coeffs = []
     for a in range(order + 1):
         if a <= 2 * genus:
@@ -99,6 +117,15 @@ def binomial_series(genus: int, order: int) -> MotiveSeries:
         else:
             coeffs.append(MotiveClass.zero(genus))
     return MotiveSeries(genus, coeffs)
+
+
+def projective_series(genus: int, order: int) -> MotiveSeries:
+    """1/((1 - T)(1 - L·T)) up to T^order: the coefficient of T^k is the
+    class 1 + L + ... + L^k of P^k."""
+    _check_order(order)
+    return MotiveSeries(genus, [
+        MotiveClass(genus, {0: dict.fromkeys(range(k + 1), 1)})
+        for k in range(order + 1)])
 
 
 def big_f(e1: int, e2: int, e3: int, genus: int, mode: str = "series") -> MotiveClass:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import motiveforge
+from motiveforge import cli, series
 from motiveforge.macdonald import sym_power_curve
 from motiveforge.motive import MotiveClass
 
@@ -159,6 +160,16 @@ def test_realize_in_file(tmp_path):
     res = run_cli("realize", "--betti", "--format", "text", "--in", str(target))
     assert res.returncode == 0
     assert res.stdout == "1 + 4·t + 7·t^2 + 4·t^3 + t^4\n"
+
+
+def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 4)
+    assert cli.main(["sym-power", "--genus", "2", "-n", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(["sym-power", "--genus", "2", "-n", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("motiveforge: SeriesOrderError: series order 5 exceeds "
+                   "the guard 4\n")
 
 
 def test_even_pipeline_rejects_degree_override():

@@ -1,5 +1,6 @@
 import pytest
 
+from motiveforge import macdonald
 from motiveforge.laurent import L, LaurentInt, lpow
 from motiveforge.macdonald import (ENUMERATION_GUARD, EnumerationGuardError,
                                    curve_ranks, sym_power_bruteforce,
@@ -7,6 +8,7 @@ from motiveforge.macdonald import (ENUMERATION_GUARD, EnumerationGuardError,
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.moduli import range_sum
 from motiveforge.realize import betti
+from motiveforge.series import MotiveSeries, binomial_series, geometric
 
 
 def test_sym_power_curve_small():
@@ -26,6 +28,33 @@ def test_sym_power_curve_projective_bundle_over_jacobian():
     for g in (1, 2, 3):
         assert (sym_power_curve(g, 2 * g - 1)
                 == lambda_binomial(0, 0, g) * range_sum(0, g - 1))
+
+
+def test_sym_power_curve_matches_two_products_and_closed_form():
+    top = 29
+    for g in range(1, 7):
+        # truncation leaves lower coefficients alone, so one product serves
+        # every n up to its order
+        two = binomial_series(g, top) * geometric(0, g, top) * geometric(1, g, top)
+        for n in range(top + 1):
+            # Macdonald: the T^n coefficient is sum_a λ_a·[P^(n-a)]
+            closed = MotiveClass(g, {a: range_sum(0, n - a)
+                                     for a in range(min(n, 2 * g) + 1)})
+            got = sym_power_curve(g, n)
+            assert got == two[n] == closed, (g, n)
+
+
+def test_sym_power_curve_multiplies_series_once(monkeypatch):
+    calls = []
+    mul = MotiveSeries.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other.order)
+        return mul(self, other)
+
+    monkeypatch.setattr(MotiveSeries, "__mul__", counting_mul)
+    sym_power_curve(9, 16)
+    assert calls == [16]
 
 
 def test_sym_power_curve_validates():
@@ -78,11 +107,17 @@ def test_bruteforce_pure_symmetric():
     assert sym_power_bruteforce({2: 1}, 3) == {6: 1}
 
 
-def test_bruteforce_guard_trips():
-    wide = {2 * k: 40 for k in range(1, 40)}
-    with pytest.raises(EnumerationGuardError):
-        sym_power_bruteforce(wide, 60)
+def test_bruteforce_guard_trips(monkeypatch):
     assert ENUMERATION_GUARD == 10_000_000
+    # r odd generators of degree 1: after j of them the tally at k holds one
+    # degree for k <= j, so the next one visits min(n, j) + min(n, j + 1)
+    r, n = 6, 3
+    work = sum(min(n, j) + min(n, j + 1) for j in range(r))
+    monkeypatch.setattr(macdonald, "ENUMERATION_GUARD", work)
+    assert sym_power_bruteforce({1: r}, n) == {3: 20}
+    monkeypatch.setattr(macdonald, "ENUMERATION_GUARD", work - 1)
+    with pytest.raises(EnumerationGuardError, match=f"exceeded {work - 1} steps"):
+        sym_power_bruteforce({1: r}, n)
 
 
 def test_triple_agreement():

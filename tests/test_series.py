@@ -2,8 +2,10 @@ import pytest
 
 from motiveforge.laurent import L, lpow
 from motiveforge.motive import MotiveClass, UnsupportedProductError
+from motiveforge import series
 from motiveforge.series import (DegenerateDenominatorError, MotiveSeries,
-                                big_f, binomial_series, geometric)
+                                SeriesOrderError, big_f, binomial_series,
+                                geometric, projective_series)
 
 
 def _tate_series(genus, scalars):
@@ -46,6 +48,25 @@ def test_binomial_series_coefficients():
     assert f[4] == MotiveClass.tate(2, 2)
     assert f[5] == MotiveClass.zero(2)  # exterior powers vanish above rank 2g
     assert f[6] == MotiveClass.zero(2)
+
+
+def test_projective_series_is_the_geometric_product():
+    for g in (1, 3):
+        for n in range(31):
+            assert (projective_series(g, n)
+                    == geometric(0, g, n) * geometric(1, g, n)), (g, n)
+
+
+def test_series_order_guard(monkeypatch):
+    assert series.SERIES_ORDER_GUARD == 1_000
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 6)
+    for make in (lambda g, n: geometric(1, g, n), binomial_series,
+                 projective_series):
+        assert make(2, 6).order == 6
+        with pytest.raises(SeriesOrderError):
+            make(2, 7)
+        with pytest.raises(ValueError):
+            make(2, -1)
 
 
 def test_binomial_times_geometric_low_coefficient():
