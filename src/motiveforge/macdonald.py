@@ -20,7 +20,7 @@ from math import comb
 
 from .laurent import LaurentInt
 from .motive import MotiveClass
-from .series import binomial_series, projective_series
+from .series import _check_order, binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
 ENUMERATION_GUARD = 10_000_000
@@ -59,11 +59,14 @@ def sym_power_ranks(b: dict[int, int], n: int) -> dict[int, int]:
 
     Extracts the T^n coefficient of
     prod_odd (1 + t^i T)^(b_i) / prod_even (1 - t^i T)^(b_i),
-    returning {degree: rank} with zero entries dropped.
+    returning {degree: rank} with zero entries dropped.  The power n is a
+    truncation order, bounded by ``series.SERIES_ORDER_GUARD`` like those of
+    the motive-level route.
     """
     ranks = _validated_ranks(b)
     if n < 0:
         raise ValueError("symmetric power index must be non-negative")
+    _check_order(n)
     series: list[LaurentInt] = [LaurentInt(1)] + [LaurentInt()] * n
     for deg in sorted(ranks):
         cnt = ranks[deg]

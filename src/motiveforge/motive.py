@@ -100,13 +100,6 @@ class MotiveClass:
     def is_pure_tate(self) -> bool:
         return set(self._lam) <= {0}
 
-    def tate_scalar(self) -> LaurentInt:
-        """The λ₀ coefficient of a pure Tate class."""
-        if not self.is_pure_tate():
-            raise UnsupportedProductError(
-                "class is not pure Tate: " + self.render())
-        return self.component(0)
-
     def rank(self) -> int:
         return sum(comb(2 * self._g, a) * p.evaluate(1)
                    for a, p in self._lam.items())

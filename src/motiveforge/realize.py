@@ -20,13 +20,16 @@ from .moduli import PipelineIntegrityError, _check_genus
 
 def _two_symbol_box(num, den):
     """Test of a quotient exponent against the box [min(num) - min(den),
-    max(num) - max(den)] on each axis: the Newton polytope of an exact
-    quotient q is that of num less that of den, so q's exponents stay
-    inside it."""
+    max(num) - max(den)] on each axis and on the total degree: the Newton
+    polytope of an exact quotient q is that of num less that of den, so q's
+    exponents stay inside it."""
     (nx, ny), (dx, dy) = zip(*num), zip(*den)
+    nt, dt = [i + j for i, j in num], [i + j for i, j in den]
     x0, x1 = min(nx) - min(dx), max(nx) - max(dx)
     y0, y1 = min(ny) - min(dy), max(ny) - max(dy)
-    return lambda m: x0 <= m[0] <= x1 and y0 <= m[1] <= y1
+    t0, t1 = min(nt) - min(dt), max(nt) - max(dt)
+    return lambda m: (x0 <= m[0] <= x1 and y0 <= m[1] <= y1
+                      and t0 <= m[0] + m[1] <= t1)
 
 
 class BiLaurent(_SparseLaurent):

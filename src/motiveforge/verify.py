@@ -344,6 +344,9 @@ def _check_n0_duality(ctx):
     for g in genera:
         c = moduli.n0_odd(g)
         _require(c == c.dual() * LaurentInt.monomial(3 * g - 3), g)
+        _require(c.max_weight() == 6 * g - 6, (g, "max weight"))
+    _require(moduli.n0_odd(2) == MotiveClass(2, {
+        0: {0: 1, 1: 1, 2: 1, 3: 1}, 1: {1: 1}}), "n0_odd(2)")
     return "pass", f"genera {list(genera)}"
 
 
@@ -365,6 +368,9 @@ def _check_kummer(ctx):
         _require(k == half_sum, g)
     _require(moduli.kummer(2)
              == MotiveClass(2, {0: LaurentInt({0: 1, 2: 1}), 2: 1}), "kummer(2)")
+    _require(moduli.kummer(3)
+             == MotiveClass(3, {0: LaurentInt({0: 1, 3: 1}),
+                                2: LaurentInt({0: 1, 1: 1})}), "kummer(3)")
     return "pass", f"rank 2^(2g-1) and even-part identity, genera {list(genera)}"
 
 
@@ -413,6 +419,7 @@ def _check_even_truncation_findings(ctx):
     notes = []
     for g in genera:
         cut, diffs = moduli.n0_even(g).stage("truncation_vs_odd").value
+        _require(cut == 2 * g - 2, (g, "truncation weight"))
         if diffs:
             notes.append(
                 f"g={g}: below weight {cut} the even class differs at weights "
@@ -487,6 +494,8 @@ def _check_jacobian_decompositions(ctx):
             total = sum(m * comb(2 * g, 2 * a - 1) for a, m in d.factors)
             _require(total == bet.coeff(2 * i - 1), (g, i))
         _require(jacobians.decompose(g, 1).factors == (), (g, "J^1 is trivial"))
+    _require(jacobians.decompose(5, 5).factors == ((1, 2), (2, 1)),
+             "decompose(5, 5)")
     return "pass", f"factors match the closed multiplicities, genera {list(genera)}"
 
 

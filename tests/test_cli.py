@@ -170,6 +170,11 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("motiveforge: SeriesOrderError: series order 5 exceeds "
                    "the guard 4\n")
+    ranks = '{"0": 1, "2": 1}'
+    assert cli.main(["sym-power", "--ranks", ranks, "-n", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(["sym-power", "--ranks", ranks, "-n", "5"]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_even_pipeline_rejects_degree_override():

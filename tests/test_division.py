@@ -48,10 +48,14 @@ def schoolbook(num: dict, den: dict, inside, ring: dict):
 
 def newton_box(num: dict, den: dict, ring: dict):
     """Test of a quotient exponent against [min(num) - min(den),
-    max(num) - max(den)] on every axis, lower end included."""
+    max(num) - max(den)] on every axis and on the total degree, lower ends
+    included."""
+    def coords(e):
+        axes = ring["axes"](e)
+        return (*axes, sum(axes))
     box = [(min(n) - min(d), max(n) - max(d)) for n, d in
-           zip(zip(*map(ring["axes"], num)), zip(*map(ring["axes"], den)))]
-    return lambda q: all(lo <= a <= hi for (lo, hi), a in zip(box, ring["axes"](q)))
+           zip(zip(*map(coords, num)), zip(*map(coords, den)))]
+    return lambda q: all(lo <= a <= hi for (lo, hi), a in zip(box, coords(q)))
 
 
 def reference_exact_div(num: dict, den: dict, ring: dict):
@@ -128,6 +132,18 @@ def test_two_symbol_division_ends_on_tied_bottom_terms():
     assert err.value.remainder == X
     for num, den in ((X, X + Y), (X * X + Y, X - Y), (1 + X ** 3, X * Y + Y * Y)):
         _check_exact_div(BiLaurent, dict(num.items()), dict(den.items()), TWO)
+
+
+def test_two_symbol_division_stops_at_the_total_degree_bound():
+    # every term of num has total degree 4 and those of den 5 and 7, so an
+    # exact quotient would have total degree in [-1, -3]: none.  The box on
+    # each axis alone let the step y^-1 through, leaving -8·x^4 + 4·x^3·y^3
+    num = 8 * X * Y ** 3 - 8 * X ** 4
+    den = -2 * X * Y ** 4 + X ** 3 * Y ** 4
+    with pytest.raises(ExactDivisionError) as err:
+        num.exact_div(den)
+    assert err.value.remainder == num
+    _check_exact_div(BiLaurent, dict(num.items()), dict(den.items()), TWO)
 
 
 def test_closed_hodge_division_matches_schoolbook():

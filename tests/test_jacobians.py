@@ -1,14 +1,10 @@
-from math import comb
-
 import pytest
 
 from motiveforge.jacobians import (DecompositionError, JacobianDecomposition,
                                    closed_multiplicities, decompose,
                                    factors_from_weight_part)
-from motiveforge.laurent import LaurentInt, lpow
-from motiveforge.moduli import n0_odd
+from motiveforge.laurent import lpow
 from motiveforge.motive import MotiveClass
-from motiveforge.realize import betti
 
 
 def test_decompose_known_cases():
@@ -26,24 +22,20 @@ def test_closed_multiplicities():
         closed_multiplicities(0)
 
 
-def test_decompose_matches_closed_formula():
-    for g in (2, 3, 4, 5):
-        for i in range(1, g + 1):
-            assert list(decompose(g, i).factors) == closed_multiplicities(i), (g, i)
+# Closed multiplicities, Betti consistency and the trivial J^1 at g = 2..5
+# are written once, as the verify registry's jacobian_decompositions check.
 
 
-def test_betti_consistency():
-    for g in (2, 3, 4, 5):
-        poly = betti(n0_odd(g))
-        for i in range(1, g + 1):
-            total = sum(m * comb(2 * g, 2 * a - 1)
-                        for a, m in decompose(g, i).factors)
-            assert total == poly.coeff(2 * i - 1), (g, i)
+def test_decompose_matches_closed_formula(registry_passes):
+    registry_passes("jacobian_decompositions")
 
 
-def test_no_first_jacobian():
-    for g in (2, 3, 4, 5):
-        assert decompose(g, 1).factors == ()
+def test_betti_consistency(registry_passes):
+    registry_passes("jacobian_decompositions")
+
+
+def test_no_first_jacobian(registry_passes):
+    registry_passes("jacobian_decompositions")
 
 
 def test_decompose_validates_inputs():

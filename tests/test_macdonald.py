@@ -1,14 +1,14 @@
 import pytest
 
-from motiveforge import macdonald
-from motiveforge.laurent import L, LaurentInt, lpow
+from motiveforge import macdonald, series
+from motiveforge.laurent import L
 from motiveforge.macdonald import (ENUMERATION_GUARD, EnumerationGuardError,
                                    curve_ranks, sym_power_bruteforce,
                                    sym_power_curve, sym_power_ranks)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.moduli import range_sum
-from motiveforge.realize import betti
-from motiveforge.series import MotiveSeries, binomial_series, geometric
+from motiveforge.series import (MotiveSeries, SeriesOrderError,
+                                binomial_series, geometric)
 
 
 def test_sym_power_curve_small():
@@ -82,6 +82,15 @@ def test_sym_power_ranks_rejects_bad_input():
         sym_power_ranks({0: 1}, -2)
 
 
+def test_sym_power_ranks_order_guard(monkeypatch):
+    # the rank route shares the series-order cap of the motive-level route
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 5)
+    assert sym_power_ranks({0: 1, 2: 1}, 5) == {0: 1, 2: 1, 4: 1, 6: 1,
+                                                 8: 1, 10: 1}
+    with pytest.raises(SeriesOrderError):
+        sym_power_ranks({0: 1, 2: 1}, 6)
+
+
 def test_bruteforce_matches_ranks():
     cases = [
         ({0: 1, 1: 4, 2: 1}, 2),
@@ -120,13 +129,9 @@ def test_bruteforce_guard_trips(monkeypatch):
         sym_power_bruteforce({1: r}, n)
 
 
-def test_triple_agreement():
-    for g in (1, 2, 3):
-        b = curve_ranks(g)
-        for n in range(7):
-            via_ranks = sym_power_ranks(b, n)
-            assert sym_power_bruteforce(b, n) == via_ranks, (g, n)
-            assert betti(sym_power_curve(g, n)) == LaurentInt(via_ranks), (g, n)
+def test_triple_agreement(registry_passes):
+    # motive, rank and brute-force routes: a check of the verify registry
+    registry_passes("macdonald_triple_agreement")
 
 
 def test_top_degree_bound():

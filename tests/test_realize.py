@@ -3,8 +3,7 @@ import random
 import pytest
 
 from motiveforge.laurent import ExactDivisionError, L, LaurentInt, lpow
-from motiveforge.moduli import (PipelineIntegrityError, kummer, n0_odd,
-                                n0_odd_closed)
+from motiveforge.moduli import kummer, n0_odd, n0_odd_closed
 from motiveforge.motive import MotiveClass
 from motiveforge.realize import (BiLaurent, X, Y, betti, hodge, hodge_closed,
                                  hodge_diamond_rows, hn_closed,
@@ -128,12 +127,8 @@ def test_weight_split_matches_hodge_slices():
             (i + j, i, j, c) for (i, j), c in h.items())
 
 
-def test_hodge_specializes_to_betti():
-    rng = random.Random(11)
-    for _ in range(200):
-        x = _random_class(rng)
-        assert hodge(x).specialize_diagonal() == betti(x)
-        assert hodge(x).swap() == hodge(x)
+def test_hodge_specializes_to_betti(registry_passes):
+    registry_passes("hodge_specialization")
 
 
 def test_level_per_weight():
@@ -144,13 +139,8 @@ def test_level_per_weight():
     assert level_per_weight(MotiveClass.zero(2)) == {}
 
 
-def test_level_bound_for_moduli_classes():
-    for g in (2, 3, 4, 5):
-        c = n0_odd(g)
-        h = hodge(c)
-        assert all(v > 0 for _, v in h.items()), g
-        for m, lv in level_per_weight(c).items():
-            assert lv <= m // 3, (g, m)
+def test_level_bound_for_moduli_classes(registry_passes):
+    registry_passes("hodge_level_bound")
 
 
 def test_hodge_diamond_rows():

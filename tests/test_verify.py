@@ -31,9 +31,8 @@ def test_report_schema_and_determinism():
     assert json.dumps(blob) == json.dumps(again.to_json_dict())
 
 
-def test_full_run_has_diagnostics_but_no_failures():
-    rep = run("all", None, cases=25)
-    counts = rep.counts()
+def test_full_run_has_diagnostics_but_no_failures(verify_report):
+    counts = verify_report.counts()
     assert counts["fail"] == 0
     assert counts["diagnostic"] == 2  # truncation findings, closed-form comparators
     assert counts["pass"] >= 25
