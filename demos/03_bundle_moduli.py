@@ -11,8 +11,6 @@ twisted Kummer class back.  The division is not exact; the report records
 which components terminate and how the result compares with the odd case.
 """
 
-import json
-
 from motiveforge import (betti, hn_closed, kummer, n0_even, n0_odd,
                          n0_odd_chain, n0_odd_closed, pair_moduli)
 
@@ -48,18 +46,7 @@ for g in (2, 3):
     print(f"  g={g}: {kummer(g).render()}  rank {kummer(g).rank()}")
 
 print()
-rep = n0_even(2)
-print(f"even pipeline report at g=2 (degree {rep.degree}, order {rep.order}):")
-for stage in rep.stages:
-    data = stage.to_json_dict()
-    if stage.kind == "class":
-        print(f"  {stage.name}: {stage.value.render()}")
-    elif stage.kind == "flags":
-        print(f"  {stage.name}: {data['exact_by_lambda']}")
-    elif stage.kind == "diff":
-        print(f"  {stage.name}: cut {data['cut']}, diffs {data['diff_by_weight'] or 'none'}")
-    else:
-        print(f"  {stage.name}: {data['status']}")
+print(n0_even(2).render_text())
 
 # below weight 2g-2 the pure even class reproduces the odd one
 for g in (3, 4):

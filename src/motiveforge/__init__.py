@@ -17,9 +17,9 @@ from .series import (DegenerateDenominatorError, MotiveSeries,
 from .macdonald import (EnumerationGuardError, curve_ranks, sym_power_curve,
                         sym_power_bruteforce, sym_power_ranks)
 from .moduli import (PipelineIntegrityError, PipelineReport, Stage, kummer,
-                     m_omega_s, n0_even, n0_even_stable, n0_odd, n0_odd_chain,
-                     n0_odd_closed, omega_index, pair_moduli, pw_classes,
-                     range_sum, ss_preimage)
+                     n0_even, n0_odd, n0_odd_chain, n0_odd_closed,
+                     omega_index, pair_moduli, pw_classes, range_sum,
+                     ss_preimage)
 from .realize import (BiLaurent, betti, hodge, hodge_closed,
                       hodge_diamond_rows, hn_closed, level_per_weight)
 from .jacobians import (DecompositionError, JacobianDecomposition,
@@ -37,8 +37,8 @@ __all__ = [
     "binomial_series", "canonicalize", "closed_multiplicities", "curve_ranks",
     "decompose", "factors_from_weight_part", "geometric",
     "hodge", "hodge_closed", "hodge_diamond_rows", "hn_closed", "kummer",
-    "lambda_binomial", "level_per_weight", "lpow", "m_omega_s", "n0_even",
-    "n0_even_stable", "n0_odd", "n0_odd_chain", "n0_odd_closed",
+    "lambda_binomial", "level_per_weight", "lpow", "n0_even",
+    "n0_odd", "n0_odd_chain", "n0_odd_closed",
     "omega_index", "pair_moduli", "projective_series", "pw_classes",
     "range_sum",
     "ss_preimage", "sym_power_bruteforce", "sym_power_curve",

@@ -14,11 +14,13 @@ than hidden.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .laurent import ExactDivisionError, LaurentInt
 from .motive import MotiveClass, lambda_binomial
 from .macdonald import sym_power_curve
+from .series import _check_order
 
 REPORT_SCHEMA = "pipeline-report/v1"
 
@@ -131,24 +133,6 @@ def ss_preimage(genus: int) -> MotiveClass:
     return sym_power_curve(genus, 2 * genus - 1) * range_sum(0, 2 * genus - 2)
 
 
-def m_omega_s(genus: int) -> MotiveClass:
-    """Pure class of the stable-locus preimage in the last even pair space,
-    by Gysin subtraction of the codimension-(g-1) semistable boundary."""
-    _check_genus(genus)
-    boundary = ss_preimage(genus) * LaurentInt.monomial(genus - 1)
-    return pair_moduli(genus, 4 * genus - 2, 2 * genus - 2) - boundary
-
-
-def n0_even_stable(genus: int, order: int) -> tuple[MotiveClass, dict[int, bool]]:
-    """Stable-locus class of the even-determinant moduli space: series
-    division of the pure pair class by the P^(2g-1) fibration factor.
-
-    The flags report, per λ-component, whether the division terminated.
-    """
-    _check_genus(genus)
-    return m_omega_s(genus).series_div(range_sum(0, 2 * genus - 1), order)
-
-
 @dataclass(frozen=True)
 class Stage:
     """One named entry of a pipeline report."""
@@ -176,6 +160,26 @@ class Stage:
             raise ValueError(f"unknown stage kind {self.kind!r}")
         return out
 
+    def render_text(self) -> str:
+        """One line: the stage name and its value, as the text report
+        shows it."""
+        if self.kind == "class":
+            return f"{self.name}: {self.value.render()}"
+        if self.kind == "flags":
+            flat = ", ".join(f"λ{a}={'exact' if v else 'nonterminating'}"
+                             for a, v in sorted(self.value.items()))
+            return f"{self.name}: {flat}"
+        if self.kind == "diff":
+            cut, diffs = self.value
+            body = "; ".join(f"weight {m}: {diffs[m].render()}"
+                             for m in sorted(diffs)) or "agree"
+            return f"{self.name} (cut {cut}): {body}"
+        if self.kind == "weight_match":
+            bad = [m for m, ok in sorted(self.value.items()) if not ok]
+            status = f"fail (weights {bad})" if bad else "pass"
+            return f"{self.name}: {status}"
+        raise ValueError(f"unknown stage kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class PipelineReport:
@@ -199,6 +203,20 @@ class PipelineReport:
             "stages": [st.to_json_dict() for st in self.stages],
         }
 
+    def render_text(self) -> str:
+        """A header line, then one line per stage."""
+        head = (f"even pipeline: genus {self.genus}, degree {self.degree}, "
+                f"order {self.order}")
+        return "\n".join([head] + [st.render_text() for st in self.stages])
+
+    def csv_rows(self) -> list[tuple[str, str, str]]:
+        """(stage, field, value) rows: each JSON field of each stage but
+        its name and kind, the value as sort-keyed JSON."""
+        return [(st.name, key, json.dumps(value, sort_keys=True))
+                for st in self.stages
+                for key, value in st.to_json_dict().items()
+                if key not in ("name", "kind")]
+
 
 def _weight_match(lhs: MotiveClass, rhs: MotiveClass) -> dict[int, bool]:
     weights = sorted(set(lhs.weights()) | set(rhs.weights()))
@@ -219,6 +237,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     _check_genus(genus)
     if order is None:
         order = 8 * genus
+    _check_order(order)
     d = 4 * genus - 2
     lef = LaurentInt.monomial(1)
 

@@ -3,7 +3,8 @@
 Re-runs the engine's invariants and acceptance checks and assembles a
 deterministic report.  Statuses: ``pass``/``fail`` for checks with a defined
 answer, ``diagnostic`` for findings that are recorded but never fail a run
-(the even-pipeline closed-form comparators and truncation findings).
+(the even-pipeline closed-form comparators and truncation findings, and any
+check that the requested genus range leaves without a genus).
 Checks state their requirements with ``_require``, not ``assert``, so they
 still fail under ``python -O``; a check that raises is recorded as ``fail``.
 """
@@ -74,11 +75,15 @@ class _Ctx:
         self.cases = cases
 
     def genera(self, default_list):
-        """Clip a check's own genus list by the user-requested range."""
+        """Clip a check's own genus list by the user-requested range; a
+        range that leaves none raises ``_NoGenera``."""
         if self.genus_range is None:
             return list(default_list)
         lo, hi = self.genus_range
-        return [g for g in default_list if lo <= g <= hi]
+        genera = [g for g in default_list if lo <= g <= hi]
+        if not genera:
+            raise _NoGenera(f"no genera in range {lo}..{hi}")
+        return genera
 
     def rng(self) -> random.Random:
         return random.Random(RNG_SEED)
@@ -107,6 +112,11 @@ def _random_class(rng, genus=None) -> MotiveClass:
 
 class _CheckFailed(Exception):
     """A requirement of a check did not hold."""
+
+
+class _NoGenera(Exception):
+    """The genus range leaves a check nothing to run on: recorded as a
+    diagnostic, never as a pass."""
 
 
 def _require(cond, what) -> None:
@@ -375,16 +385,17 @@ def _check_kummer(ctx):
 
 
 def _check_even_intermediates(ctx):
-    mo = moduli.pair_moduli(2, 6, 2)
+    rep = moduli.n0_even(2, 40)
+    mo = rep.stage("m_omega").value
     _require(mo == MotiveClass(2, {
         0: {0: 1, 1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1},
         1: {1: 1, 2: 2, 3: 2, 4: 1}, 2: {2: 1}}), "m_omega at g=2")
-    ss = moduli.ss_preimage(2)
+    ss = rep.stage("ss_preimage").value
     _require(ss == MotiveClass(2, {
         0: {0: 1, 1: 2, 2: 3, 3: 3, 4: 2, 5: 1},
         1: {0: 1, 1: 3, 2: 4, 3: 3, 4: 1},
         2: {0: 1, 1: 2, 2: 2, 3: 1}}), "ss_preimage at g=2")
-    mos = moduli.m_omega_s(2)
+    mos = rep.stage("m_omega_s").value
     _require(mos == MotiveClass(2, {
         0: {0: 1, 1: 1, 2: 2, 3: 1, 4: 1},
         1: {2: -1, 3: -2, 4: -2, 5: -1},
@@ -395,9 +406,10 @@ def _check_even_intermediates(ctx):
 
 
 def _check_step3_nonterminating(ctx):
-    _, flags = moduli.n0_even_stable(2, 40)
+    rep = moduli.n0_even(2, 40)
+    flags = rep.stage("stable_division_exact").value
     _require(flags == {0: False, 1: False, 2: False}, "exactness flags at g=2")
-    comp = moduli.m_omega_s(2).component(2)
+    comp = rep.stage("m_omega_s").value.component(2)
     _require(comp == LaurentInt({1: -1, 2: -1, 3: -2, 4: -1}),
              "λ2 component of m_omega_s at g=2")
     _, exact = comp.series_div(moduli.range_sum(0, 3), 40)
@@ -426,7 +438,7 @@ def _check_even_truncation_findings(ctx):
                 f"{sorted(diffs)}")
         else:
             notes.append(f"g={g}: even and odd classes agree below weight {cut}")
-    return "diagnostic", "; ".join(notes) if notes else "no genera in range"
+    return "diagnostic", "; ".join(notes)
 
 
 def _check_closed_form_comparators(ctx):
@@ -441,7 +453,7 @@ def _check_closed_form_comparators(ctx):
                 notes.append(f"g={g} {name}: mismatch at weights {bad}")
             else:
                 notes.append(f"g={g} {name}: matches at every weight")
-    return "diagnostic", "; ".join(notes) if notes else "no genera in range"
+    return "diagnostic", "; ".join(notes)
 
 
 def _check_hn_reproduction(ctx):
@@ -557,6 +569,8 @@ def run(suite: str = "all", genus_range: tuple[int, int] | None = None,
             continue
         try:
             status, details = fn(ctx)
+        except _NoGenera as exc:
+            status, details = "diagnostic", str(exc)
         except _CheckFailed as exc:
             status, details = "fail", f"requirement failed: {exc}"
         except Exception as exc:  # a check that crashes fails; the run goes on

@@ -2,9 +2,9 @@ import pytest
 
 from motiveforge.laurent import L, lpow
 from motiveforge.macdonald import sym_power_curve
-from motiveforge.moduli import (n0_even, n0_even_stable, n0_odd, n0_odd_chain,
-                                kummer, m_omega_s, omega_index, pair_moduli,
-                                pw_classes, range_sum, ss_preimage)
+from motiveforge.moduli import (n0_even, n0_odd, n0_odd_chain, kummer,
+                                omega_index, pair_moduli, pw_classes,
+                                range_sum, ss_preimage)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.realize import betti
 
@@ -127,7 +127,9 @@ def test_m_omega_s_g2(registry_passes):
 
 
 def test_n0_even_stable_g2_nonterminating():
-    cls, flags = n0_even_stable(2, 40)
+    rep = n0_even(2, 40)
+    cls = rep.stage("n0_even_stable").value
+    flags = rep.stage("stable_division_exact").value
     assert flags == {0: False, 1: False, 2: False}
     assert cls.weight_part(0) == MotiveClass.one(2)
 
@@ -194,7 +196,7 @@ def test_n0_even_order_override():
 
 
 def test_pipeline_genus_validation():
-    for fn in (ss_preimage, m_omega_s, n0_even):
+    for fn in (ss_preimage, n0_even):
         with pytest.raises(ValueError):
             fn(1)
     with pytest.raises(ValueError):

@@ -45,6 +45,16 @@ def test_genus_range_clips_checks():
     assert not rep.failed
 
 
+def test_genus_range_without_genera_is_a_diagnostic():
+    # a check left with no genus checked nothing: it must not read "pass"
+    rep = run("all", (9, 12), cases=5)
+    empty = [r for r in rep.results if r.details == "no genera in range 9..12"]
+    assert len(empty) == 17
+    assert {r.status for r in empty} == {"diagnostic"}
+    assert not any("genera []" in r.details for r in rep.results)
+    assert not rep.failed
+
+
 def test_render_text_one_line_per_check():
     rep = run("serialization", None, cases=10)
     lines = rep.render_text().splitlines()
