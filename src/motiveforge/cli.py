@@ -154,8 +154,18 @@ def _class_result(cls: MotiveClass) -> _Result:
                              for e, c in cls.component(a).items()]))
 
 
+def _reject(args, form: str, *options: str) -> None:
+    """A usage error if any of ``options`` (flag names without the dashes)
+    was given to ``form``, which would not read it."""
+    for name in options:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise UsageError(f"{form} does not take --{name}")
+
+
 def _run_sym_power(args) -> _Result:
     if args.ranks is not None:
+        _reject(args, "sym-power --ranks", "genus")
         # a rank vector is read as its Poincaré polynomial: int ranks only
         poly = LaurentInt.from_coeff_json(json.loads(args.ranks))
         fn = sym_power_bruteforce if args.bruteforce else sym_power_ranks
@@ -166,6 +176,7 @@ def _run_sym_power(args) -> _Result:
                      "ranks": {str(d): r for d, r in rows}},
             lambda: "\n".join(f"{d}\t{r}" for d, r in rows),
             lambda: ("degree,rank", rows))
+    _reject(args, "sym-power without --ranks", "bruteforce")
     if args.genus is None:
         raise UsageError("sym-power needs --genus unless --ranks is given")
     return _class_result(sym_power_curve(args.genus, args.power))
@@ -173,6 +184,7 @@ def _run_sym_power(args) -> _Result:
 
 def _run_moduli(args) -> _Result:
     if args.kind == "pairs":
+        _reject(args, "moduli pairs", "parity", "order")
         if args.degree is None or args.index is None:
             raise UsageError("moduli pairs needs --degree and --index")
         return _class_result(
@@ -180,12 +192,14 @@ def _run_moduli(args) -> _Result:
     if args.parity is None:
         raise UsageError("moduli n0 needs --parity odd|even")
     if args.parity == "odd":
+        _reject(args, "moduli n0 --parity odd", "order", "index")
         if args.degree is not None:
             return _class_result(moduli.n0_odd_chain(args.genus, args.degree))
         return _class_result(moduli.n0_odd(args.genus))
     if args.degree is not None:
-        raise ValueError("the even pipeline fixes degree 4g-2; "
+        raise UsageError("the even pipeline fixes degree 4g-2; "
                          "--degree only applies to --parity odd")
+    _reject(args, "moduli n0 --parity even", "index")
     rep = moduli.n0_even(args.genus, args.order)
     return _Result(rep.to_json_dict, rep.render_text,
                    lambda: ("stage,field,value", rep.csv_rows()))

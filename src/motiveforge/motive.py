@@ -61,6 +61,15 @@ class MotiveClass:
             acc[a] = acc.get(a, LaurentInt()) + p
         self._lam = {a: p for a, p in acc.items() if p}
 
+    @classmethod
+    def _raw(cls, genus: int, lam: dict) -> "MotiveClass":
+        """Wrap a canonical map (indices 0..g, nonzero coefficients),
+        unchecked; the public constructor validates."""
+        obj = object.__new__(cls)
+        obj._g = genus
+        obj._lam = lam
+        return obj
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -181,7 +190,7 @@ class MotiveClass:
             c = 0 if odd else p.coeff(b)
             if c:
                 out[a] = LaurentInt._raw({b: c})
-        return MotiveClass(self._g, out)
+        return MotiveClass._raw(self._g, out)
 
     def weights(self) -> list[int]:
         """Sorted weights with a nonzero homogeneous part."""

@@ -104,19 +104,33 @@ def betti(x: MotiveClass) -> LaurentInt:
     return LaurentInt._raw({k: c for k, c in out.items() if c})
 
 
-def hodge(x: MotiveClass) -> BiLaurent:
-    """Hodge realization: λ_a goes to the (g,g)-bigraded exterior ranks,
-    L to xy."""
+def _hodge_table(x: MotiveClass) -> dict[int, list[tuple[int, int, int]]]:
+    """λ_a -> its (i, a - i, C(g,i)·C(g,a-i)) Hodge terms, for each λ-index
+    of ``x``; its weight parts need no other index."""
     g = x.genus
+    row = [comb(g, i) for i in range(g + 1)]
+    # canonical indices run over 0..g, so i and a - i both stay in 0..g
+    return {a: [(i, a - i, row[i] * row[a - i]) for i in range(a + 1)]
+            for a in x.lambda_indices()}
+
+
+def _hodge(x: MotiveClass, table) -> BiLaurent:
+    """Hodge realization of ``x`` against a ``_hodge_table`` that covers
+    its λ-indices."""
     out: dict[tuple[int, int], int] = {}
     for a, p in x.components().items():
-        base = [(i, a - i, comb(g, i) * comb(g, a - i))
-                for i in range(max(0, a - g), min(a, g) + 1)]
+        base = table[a]
         for e, c in p.items():
             for i, j, r in base:
                 k = (i + e, j + e)
                 out[k] = out.get(k, 0) + r * c
     return BiLaurent._raw({k: c for k, c in out.items() if c})
+
+
+def hodge(x: MotiveClass) -> BiLaurent:
+    """Hodge realization: λ_a goes to the (g,g)-bigraded exterior ranks,
+    L to xy."""
+    return _hodge(x, _hodge_table(x))
 
 
 def hn_closed(genus: int) -> LaurentInt:
@@ -154,18 +168,20 @@ def level_per_weight(x: MotiveClass) -> dict[int, int]:
     Computed on the realization support, signs included; for virtual classes
     interpret with care (a cancelling pair of signs hides its level).
     """
+    table = _hodge_table(x)
     out: dict[int, int] = {}
     for m in x.weights():
-        h = hodge(x.weight_part(m))
-        if h:
-            out[m] = max(abs(i - j) for (i, j), _ in h.items())
+        support = _hodge(x.weight_part(m), table)._c
+        if support:
+            out[m] = max(abs(i - j) for i, j in support)
     return out
 
 
 def hodge_diamond_rows(x: MotiveClass) -> list[tuple[int, int, int, int]]:
     """(weight, p, q, h) rows of the per-weight Hodge diamonds, sorted."""
+    table = _hodge_table(x)
     rows = []
     for m in x.weights():
-        for (i, j), c in hodge(x.weight_part(m)).items():
+        for (i, j), c in _hodge(x.weight_part(m), table).items():
             rows.append((m, i, j, c))
     return rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .laurent import LaurentInt
@@ -87,6 +88,12 @@ class _Ctx:
 
     def rng(self) -> random.Random:
         return random.Random(RNG_SEED)
+
+    @cached_property
+    def even_g2(self) -> moduli.PipelineReport:
+        """The g = 2, order 40 even report that the even-stage checks read,
+        built once per run."""
+        return moduli.n0_even(2, 40)
 
 
 def _random_laurent(rng, lo=-4, hi=6, terms=4, allow_zero=True) -> LaurentInt:
@@ -385,7 +392,7 @@ def _check_kummer(ctx):
 
 
 def _check_even_intermediates(ctx):
-    rep = moduli.n0_even(2, 40)
+    rep = ctx.even_g2
     mo = rep.stage("m_omega").value
     _require(mo == MotiveClass(2, {
         0: {0: 1, 1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1},
@@ -406,7 +413,7 @@ def _check_even_intermediates(ctx):
 
 
 def _check_step3_nonterminating(ctx):
-    rep = moduli.n0_even(2, 40)
+    rep = ctx.even_g2
     flags = rep.stage("stable_division_exact").value
     _require(flags == {0: False, 1: False, 2: False}, "exactness flags at g=2")
     comp = rep.stage("m_omega_s").value.component(2)

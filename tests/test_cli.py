@@ -208,7 +208,7 @@ def test_output_bytes(form, fmt, tmp_path, capsys):
     assert err == ""
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     usage = run_cli("moduli", "n0", "--genus", "2", "--nope")
     assert usage.returncode == 2
     integrity = run_cli("big-f", "--genus", "2", "--exponents", "0", "0", "1",
@@ -231,6 +231,31 @@ def test_exit_codes(tmp_path):
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "usage error" in res.stderr
+    # an option the chosen form would not read is a usage error, not ignored
+    for args in (("moduli", "n0", "--genus", "2", "--parity", "odd",
+                  "--order", "99999"),
+                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
+                  "--degree", "7", "--order", "20"),
+                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
+                  "--index", "1"),
+                 ("moduli", "n0", "--genus", "2", "--parity", "even",
+                  "--degree", "6"),
+                 ("moduli", "n0", "--genus", "2", "--parity", "even",
+                  "--index", "0"),
+                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
+                  "--index", "2", "--order", "0"),
+                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
+                  "--index", "2", "--parity", "even"),
+                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
+                  "--index", "2", "--parity", "odd", "--order", "-5"),
+                 ("sym-power", "--genus", "2", "-n", "2", "--bruteforce"),
+                 ("sym-power", "--genus", "2", "-n", "2",
+                  "--ranks", '{"0":1,"1":4,"2":1}')):
+        assert cli.main(list(args)) == 2, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("motiveforge: usage error: "), err
     # rank vectors hold ints only
     for ranks in ('{"0":1.5}', '{"0":true}', '[1, 2]'):
         res = run_cli("sym-power", "-n", "2", "--ranks", ranks)
@@ -280,8 +305,8 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
 def test_even_pipeline_rejects_degree_override():
     res = run_cli("moduli", "n0", "--genus", "2", "--parity", "even",
                   "--degree", "8")
-    assert res.returncode == 1
-    assert "even pipeline" in res.stderr
+    assert res.returncode == 2
+    assert "usage error: the even pipeline" in res.stderr
 
 
 def test_env_order_default():

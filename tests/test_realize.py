@@ -1,7 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
+from motiveforge import realize
 from motiveforge.laurent import ExactDivisionError, L, LaurentInt, lpow
 from motiveforge.moduli import kummer, n0_odd, n0_odd_closed
 from motiveforge.motive import MotiveClass
@@ -110,6 +112,16 @@ def test_large_genus_realization_cross_checks(g):
     assert h.specialize_diagonal() == hn_closed(g) == betti(closed)
 
 
+def _assert_levels_and_rows_are_hodge_slices(x):
+    h = hodge(x)
+    levels: dict[int, int] = {}
+    for (i, j), _ in h.items():
+        levels[i + j] = max(levels.get(i + j, 0), abs(i - j))
+    assert level_per_weight(x) == levels, x.genus
+    assert hodge_diamond_rows(x) == sorted(
+        (i + j, i, j, c) for (i, j), c in h.items()), x.genus
+
+
 def test_weight_split_matches_hodge_slices():
     rng = random.Random(29)
     for _ in range(150):
@@ -118,13 +130,59 @@ def test_weight_split_matches_hodge_slices():
             picked = {a: LaurentInt({e: c for e, c in p.items() if a + 2 * e == m})
                       for a, p in x.components().items()}
             assert x.weight_part(m) == MotiveClass(x.genus, picked), (x, m)
-        h = hodge(x)
-        levels: dict[int, int] = {}
-        for (i, j), _ in h.items():
-            levels[i + j] = max(levels.get(i + j, 0), abs(i - j))
-        assert level_per_weight(x) == levels
-        assert hodge_diamond_rows(x) == sorted(
-            (i + j, i, j, c) for (i, j), c in h.items())
+        _assert_levels_and_rows_are_hodge_slices(x)
+
+
+def _dense_class(rng, genus, width=4):
+    """Every λ-index 0..g present, with ``width`` consecutive nonzero
+    Lefschetz coefficients each: the dense classes of the realization
+    benchmark."""
+    nonzero = [c for c in range(-9, 10) if c]
+    comps = {}
+    for a in range(genus + 1):
+        lo = rng.randint(-2, 2)
+        comps[a] = {e: rng.choice(nonzero) for e in range(lo, lo + width)}
+    return MotiveClass(genus, comps)
+
+
+def _benchmark_sized_classes():
+    rng = random.Random(31)
+    return ([n0_odd_closed(g) for g in (8, 16, 24)]
+            + [_dense_class(rng, g) for g in range(4, 25)])
+
+
+def test_weight_split_matches_hodge_slices_at_benchmark_sizes():
+    for x in _benchmark_sized_classes():
+        _assert_levels_and_rows_are_hodge_slices(x)
+        g = x.genus
+        # weight parts skip validation, so check that they are canonical
+        for m in x.weights():
+            part = x.weight_part(m)
+            comps = part.components()
+            assert comps and all(0 <= a <= g for a in comps), (g, m)
+            for a, p in comps.items():
+                [(b, c)] = p.items()
+                assert c != 0 and a + 2 * b == m, (g, m, a)
+            assert part == MotiveClass(g, {a: dict(p.items())
+                                           for a, p in comps.items()})
+
+
+def test_realizations_build_one_hodge_table(monkeypatch):
+    """One call realizes every weight part against one table of exterior
+    ranks: at g = 24 at most (g+1)(g+2) = 650 binomials, where a table per
+    weight part takes 14 400."""
+    calls = [0]
+
+    def counting_comb(n, k):
+        calls[0] += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(realize, "comb", counting_comb)
+    x = n0_odd_closed(24)
+    for fn in (hodge, level_per_weight, hodge_diamond_rows):
+        calls[0] = 0
+        fn(x)
+        assert 0 < calls[0] <= 25 * 26, (fn.__name__, calls[0])
 
 
 def test_hodge_specializes_to_betti(registry_passes):
