@@ -24,9 +24,18 @@ from .series import _check_order
 
 REPORT_SCHEMA = "pipeline-report/v1"
 
+#: largest dimension d + g - 2 of the first pair space P^(d+g-2) that a chain
+#: may start from; its range sums hold one term per exponent, and the
+#: pipelines use at most 5g - 4 (the even chain at degree 4g - 2)
+CHAIN_DEGREE_GUARD = 10_000
+
 
 class PipelineIntegrityError(ArithmeticError):
     """Two computation paths that must agree did not."""
+
+
+class ChainDegreeError(ValueError):
+    """A pair chain was asked for beyond CHAIN_DEGREE_GUARD."""
 
 
 def omega_index(d: int) -> int:
@@ -54,6 +63,17 @@ def _check_genus(genus: int, minimum: int = 2) -> None:
         raise ValueError(f"genus must be an integer >= {minimum}, got {genus!r}")
 
 
+def _check_chain(genus: int, d: int, top: int) -> None:
+    """Refuse, before any work, a degree-d chain whose first space is too
+    large or whose walls need symmetric powers S_0..S_top above the series
+    order guard."""
+    if d + genus - 2 > CHAIN_DEGREE_GUARD:
+        raise ChainDegreeError(
+            f"pair chain of degree {d} at genus {genus} starts at "
+            f"P^{d + genus - 2}, above the guard {CHAIN_DEGREE_GUARD}")
+    _check_order(top)
+
+
 def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
     """Classes of the two flip centers at wall i of the degree-d chain.
 
@@ -63,10 +83,20 @@ def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
     _check_genus(genus)
     if i < 0:
         raise ValueError("wall index must be non-negative")
+    _check_chain(genus, d, i)
     base = sym_power_curve(genus, i)
     plus = base * range_sum(0, d - 2 * i + genus - 2)
     minus = base * range_sum(0, i - 1)
     return plus, minus
+
+
+def _chain(genus: int, d: int, walls: list[MotiveClass]) -> MotiveClass:
+    """Class of M_i in the degree-d chain, i = len(walls) - 1, from the
+    symmetric powers walls[j] = S_j: P^(d+g-2) plus one flip term per wall."""
+    total = MotiveClass.zero(genus)
+    for j, sym in enumerate(walls):
+        total = total + sym * range_sum(j, d + genus - 2 - 2 * j)
+    return total
 
 
 def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
@@ -75,10 +105,8 @@ def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
     if not 0 <= i <= omega_index(d):
         raise ValueError(
             f"pair index {i} outside 0..{omega_index(d)} for degree {d}")
-    total = MotiveClass.zero(genus)
-    for j in range(i + 1):
-        total = total + sym_power_curve(genus, j) * range_sum(j, d + genus - 2 - 2 * j)
-    return total
+    _check_chain(genus, d, i)
+    return _chain(genus, d, [sym_power_curve(genus, j) for j in range(i + 1)])
 
 
 def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
@@ -94,8 +122,14 @@ def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
     if degree % 2 == 0 or degree < 4 * genus - 3:
         raise ValueError(
             f"degree must be odd and >= {4 * genus - 3}, got {degree}")
-    chain = pair_moduli(genus, degree, omega_index(degree))
-    return chain.exact_div(range_sum(0, degree - 2 * genus + 1))
+    last = pair_moduli(genus, degree, omega_index(degree))
+    return _odd_quotient(genus, degree, last)
+
+
+def _odd_quotient(genus: int, degree: int, last: MotiveClass) -> MotiveClass:
+    """The last pair space of an odd chain, divided by its fibre
+    P^(d-2g+1) over the bundle moduli space."""
+    return last.exact_div(range_sum(0, degree - 2 * genus + 1))
 
 
 def n0_odd_closed(genus: int) -> MotiveClass:
@@ -108,15 +142,19 @@ def n0_odd_closed(genus: int) -> MotiveClass:
     return num.exact_div(den)
 
 
-def n0_odd(genus: int) -> MotiveClass:
-    """Odd-determinant moduli class, with the two computation paths compared."""
-    chain = n0_odd_chain(genus)
+def _agreeing_with_closed(genus: int, chain: MotiveClass) -> MotiveClass:
+    """The flip-chain odd class, once it equals the closed one."""
     closed = n0_odd_closed(genus)
     if chain != closed:
         raise PipelineIntegrityError(
             f"flip-chain and closed classes disagree at genus {genus}: "
             f"{chain.render()} vs {closed.render()}")
     return chain
+
+
+def n0_odd(genus: int) -> MotiveClass:
+    """Odd-determinant moduli class, with the two computation paths compared."""
+    return _agreeing_with_closed(genus, n0_odd_chain(genus))
 
 
 def kummer(genus: int) -> MotiveClass:
@@ -130,6 +168,7 @@ def ss_preimage(genus: int) -> MotiveClass:
     """Class of the preimage of the singular locus in the last pair space of
     the even chain: a P^(2g-2)-bundle over the (2g-1)-st symmetric product."""
     _check_genus(genus)
+    _check_order(2 * genus - 1)
     return sym_power_curve(genus, 2 * genus - 1) * range_sum(0, 2 * genus - 2)
 
 
@@ -232,16 +271,22 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     the assembled class, the truncation comparison against the odd case below
     weight 2g-2, and the two closed-form comparators (diagnostic only: they
     are checked per weight, never used as the computation path).  The series
-    order defaults to 8g, the one default the command line also uses.
+    order defaults to 8g, the one default the command line also uses.  The
+    walls S_0..S_(2g-2) are built once: the degree-(4g-2) chain and the
+    degree-(4g-3) odd chain both end at index 2g - 2 and share them.
     """
     _check_genus(genus)
     if order is None:
         order = 8 * genus
     _check_order(order)
     d = 4 * genus - 2
+    _check_chain(genus, d, 2 * genus - 1)
     lef = LaurentInt.monomial(1)
 
-    mo = pair_moduli(genus, d, 2 * genus - 2)
+    walls = [sym_power_curve(genus, j) for j in range(2 * genus - 1)]
+    mo = _chain(genus, d, walls)
+    odd = _agreeing_with_closed(
+        genus, _odd_quotient(genus, d - 1, _chain(genus, d - 1, walls)))
     ss = ss_preimage(genus)
     mos = mo - ss * LaurentInt.monomial(genus - 1)
     stable, flags = mos.series_div(range_sum(0, 2 * genus - 1), order)
@@ -249,7 +294,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     total = stable + kum_twisted
 
     cut = 2 * genus - 2
-    delta = total.truncate_below(cut) - n0_odd(genus).truncate_below(cut)
+    delta = total.truncate_below(cut) - odd.truncate_below(cut)
     diffs = {m: delta.weight_part(m) for m in delta.weights()}
 
     b01 = lambda_binomial(0, 1, genus)

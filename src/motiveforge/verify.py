@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .laurent import LaurentInt
@@ -74,6 +73,7 @@ class _Ctx:
     def __init__(self, genus_range, cases):
         self.genus_range = genus_range
         self.cases = cases
+        self._even: dict[tuple[int, int | None], moduli.PipelineReport] = {}
 
     def genera(self, default_list):
         """Clip a check's own genus list by the user-requested range; a
@@ -89,11 +89,13 @@ class _Ctx:
     def rng(self) -> random.Random:
         return random.Random(RNG_SEED)
 
-    @cached_property
-    def even_g2(self) -> moduli.PipelineReport:
-        """The g = 2, order 40 even report that the even-stage checks read,
+    def even(self, genus: int, order: int | None = None) -> moduli.PipelineReport:
+        """The even report of (genus, order) that the even checks read,
         built once per run."""
-        return moduli.n0_even(2, 40)
+        key = (genus, order)
+        if key not in self._even:
+            self._even[key] = moduli.n0_even(genus, order)
+        return self._even[key]
 
 
 def _random_laurent(rng, lo=-4, hi=6, terms=4, allow_zero=True) -> LaurentInt:
@@ -337,9 +339,10 @@ def _check_flip_additivity(ctx):
     count = 0
     for g in genera:
         for d in range(2, 10):
-            for i in range(1, moduli.omega_index(d) + 1):
-                step = (moduli.pair_moduli(g, d, i)
-                        - moduli.pair_moduli(g, d, i - 1))
+            chain = [moduli.pair_moduli(g, d, i)
+                     for i in range(moduli.omega_index(d) + 1)]
+            for i in range(1, len(chain)):
+                step = chain[i] - chain[i - 1]
                 plus, minus = moduli.pw_classes(g, d, i)
                 _require(step == plus - minus, (g, d, i))
                 _require(step == (macdonald.sym_power_curve(g, i)
@@ -358,11 +361,12 @@ def _check_n0_two_path(ctx):
 
 def _check_n0_duality(ctx):
     genera = ctx.genera((2, 3, 4, 5))
-    for g in genera:
-        c = moduli.n0_odd(g)
+    classes = {g: moduli.n0_odd(g) for g in genera}
+    for g, c in classes.items():
         _require(c == c.dual() * LaurentInt.monomial(3 * g - 3), g)
         _require(c.max_weight() == 6 * g - 6, (g, "max weight"))
-    _require(moduli.n0_odd(2) == MotiveClass(2, {
+    two = classes[2] if 2 in classes else moduli.n0_odd(2)
+    _require(two == MotiveClass(2, {
         0: {0: 1, 1: 1, 2: 1, 3: 1}, 1: {1: 1}}), "n0_odd(2)")
     return "pass", f"genera {list(genera)}"
 
@@ -392,7 +396,7 @@ def _check_kummer(ctx):
 
 
 def _check_even_intermediates(ctx):
-    rep = ctx.even_g2
+    rep = ctx.even(2, 40)
     mo = rep.stage("m_omega").value
     _require(mo == MotiveClass(2, {
         0: {0: 1, 1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1},
@@ -413,7 +417,7 @@ def _check_even_intermediates(ctx):
 
 
 def _check_step3_nonterminating(ctx):
-    rep = ctx.even_g2
+    rep = ctx.even(2, 40)
     flags = rep.stage("stable_division_exact").value
     _require(flags == {0: False, 1: False, 2: False}, "exactness flags at g=2")
     comp = rep.stage("m_omega_s").value.component(2)
@@ -427,7 +431,8 @@ def _check_step3_nonterminating(ctx):
 def _check_even_report_deterministic(ctx):
     genera = ctx.genera((3, 4))
     for g in genera:
-        a = json.dumps(moduli.n0_even(g).to_json_dict(), sort_keys=False)
+        # the shared report against a fresh build: two independent runs
+        a = json.dumps(ctx.even(g).to_json_dict(), sort_keys=False)
         b = json.dumps(moduli.n0_even(g).to_json_dict(), sort_keys=False)
         _require(a == b, g)
     return "pass", f"byte-identical reports on re-run, genera {list(genera)}"
@@ -437,7 +442,7 @@ def _check_even_truncation_findings(ctx):
     genera = ctx.genera((3, 4))
     notes = []
     for g in genera:
-        cut, diffs = moduli.n0_even(g).stage("truncation_vs_odd").value
+        cut, diffs = ctx.even(g).stage("truncation_vs_odd").value
         _require(cut == 2 * g - 2, (g, "truncation weight"))
         if diffs:
             notes.append(
@@ -452,7 +457,7 @@ def _check_closed_form_comparators(ctx):
     genera = ctx.genera((2, 3, 4))
     notes = []
     for g in genera:
-        rep = moduli.n0_even(g)
+        rep = ctx.even(g)
         for name in ("m_omega_closed_form", "n0_stable_closed_form"):
             match = rep.stage(name).value
             bad = sorted(m for m, ok in match.items() if not ok)
@@ -504,17 +509,18 @@ def _check_level_bound(ctx):
 
 def _check_jacobian_decompositions(ctx):
     genera = ctx.genera((2, 3, 4, 5))
+    built = {}
     for g in genera:
         bet = realize.betti(moduli.n0_odd(g))
         for i in range(1, g + 1):
-            d = jacobians.decompose(g, i)
+            d = built[g, i] = jacobians.decompose(g, i)
             _require(list(d.factors) == jacobians.closed_multiplicities(i),
                      (g, i))
             total = sum(m * comb(2 * g, 2 * a - 1) for a, m in d.factors)
             _require(total == bet.coeff(2 * i - 1), (g, i))
-        _require(jacobians.decompose(g, 1).factors == (), (g, "J^1 is trivial"))
-    _require(jacobians.decompose(5, 5).factors == ((1, 2), (2, 1)),
-             "decompose(5, 5)")
+        _require(built[g, 1].factors == (), (g, "J^1 is trivial"))
+    five = built[5, 5] if (5, 5) in built else jacobians.decompose(5, 5)
+    _require(five.factors == ((1, 2), (2, 1)), "decompose(5, 5)")
     return "pass", f"factors match the closed multiplicities, genera {list(genera)}"
 
 

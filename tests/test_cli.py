@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import motiveforge
-from motiveforge import cli, series
+from motiveforge import cli, moduli, series
 from motiveforge.macdonald import sym_power_curve
 from motiveforge.motive import MotiveClass
 
@@ -300,6 +300,17 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
     # the default order, 8g = 16, is guarded too
     assert cli.main(even) == 1
     assert "series order 16 exceeds the guard 4" in capsys.readouterr().err
+
+
+def test_chain_degree_guard_is_a_bad_value(monkeypatch, capsys):
+    monkeypatch.setattr(moduli, "CHAIN_DEGREE_GUARD", 20)
+    pairs = ["moduli", "pairs", "--genus", "2", "--index", "0", "--degree"]
+    assert cli.main(pairs + ["20"]) == 0
+    capsys.readouterr()
+    assert cli.main(pairs + ["21"]) == 1
+    assert capsys.readouterr().err == (
+        "motiveforge: ChainDegreeError: pair chain of degree 21 at genus 2 "
+        "starts at P^21, above the guard 20\n")
 
 
 def test_even_pipeline_rejects_degree_override():

@@ -1,10 +1,12 @@
 import pytest
 
+from motiveforge import moduli, series
 from motiveforge.laurent import L, lpow
 from motiveforge.macdonald import sym_power_curve
-from motiveforge.moduli import (n0_even, n0_odd, n0_odd_chain, kummer,
-                                omega_index, pair_moduli, pw_classes,
-                                range_sum, ss_preimage)
+from motiveforge.moduli import (ChainDegreeError, n0_even, n0_odd,
+                                n0_odd_chain, kummer, omega_index,
+                                pair_moduli, pw_classes, range_sum,
+                                ss_preimage)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.realize import betti
 
@@ -203,3 +205,72 @@ def test_pipeline_genus_validation():
         kummer(0)
     with pytest.raises(ValueError):
         n0_odd(1)
+
+
+def test_n0_even_shares_its_walls_with_the_odd_chain():
+    # the even report sums S_0..S_(2g-2) once for both chains; each stage
+    # that reads them equals its route through the public functions
+    for g in range(2, 7):
+        rep = n0_even(g)
+        mo = pair_moduli(g, 4 * g - 2, 2 * g - 2)
+        assert rep.stage("m_omega").value == mo, g
+        cut = 2 * g - 2
+        delta = (rep.stage("n0_even").value.truncate_below(cut)
+                 - n0_odd(g).truncate_below(cut))
+        assert rep.stage("truncation_vs_odd").value == (
+            cut, {m: delta.weight_part(m) for m in delta.weights()}), g
+
+
+@pytest.fixture
+def sym_power_calls(monkeypatch):
+    """The (genus, n) of every symmetric power the moduli layer builds."""
+    calls = []
+
+    def counted(genus, n):
+        calls.append((genus, n))
+        return sym_power_curve(genus, n)
+    monkeypatch.setattr(moduli, "sym_power_curve", counted)
+    return calls
+
+
+def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
+                                                     sym_power_calls):
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 5)
+    too_high = (
+        lambda: n0_odd(4),            # degree-13 chain: S_0..S_6
+        lambda: n0_odd_chain(3, 13),  # S_0..S_6
+        lambda: pair_moduli(2, 13, 6),
+        lambda: pw_classes(2, 13, 6),
+        lambda: ss_preimage(4),       # S_7
+        lambda: n0_even(4, 5),        # order 5 is fine, S_7 is not
+    )
+    for call in too_high:
+        with pytest.raises(series.SeriesOrderError):
+            call()
+    assert sym_power_calls == []
+    # at the guard they run
+    pair_moduli(2, 13, 5)
+    n0_even(3, 5)  # S_0..S_5, order 5
+    assert max(n for _, n in sym_power_calls) == 5
+
+
+def test_chain_degree_guard_trips_before_any_work(monkeypatch,
+                                                  sym_power_calls):
+    assert moduli.CHAIN_DEGREE_GUARD == 10_000
+    monkeypatch.setattr(moduli, "CHAIN_DEGREE_GUARD", 20)
+    # the guard bounds d + g - 2, the dimension of the first space P^(d+g-2)
+    too_long = (
+        lambda: pair_moduli(2, 21, 0),
+        lambda: pair_moduli(19, 5, 0),
+        lambda: pw_classes(2, 21, 3),
+        lambda: n0_odd_chain(3, 21),
+        lambda: n0_even(6),           # degree 22
+    )
+    for call in too_long:
+        with pytest.raises(ChainDegreeError):
+            call()
+    assert sym_power_calls == []
+    assert issubclass(ChainDegreeError, ValueError)
+    assert pair_moduli(2, 20, 0) == MotiveClass(2, {0: range_sum(0, 20)})
+    n0_even(4)  # degree 14: P^16
+    assert sym_power_calls

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import motiveforge
-from motiveforge import macdonald
+from motiveforge import macdonald, moduli
 from motiveforge.verify import SUITES, run
 
 
@@ -53,6 +54,21 @@ def test_genus_range_without_genera_is_a_diagnostic():
     assert {r.status for r in empty} == {"diagnostic"}
     assert not any("genera []" in r.details for r in rep.results)
     assert not rep.failed
+
+
+def test_moduli_suite_builds_each_even_report_once(monkeypatch):
+    # g = 3, 4 twice on purpose: the determinism check compares the shared
+    # report with a fresh build; every other even check reads the shared one
+    builds = Counter()
+    real = moduli.n0_even
+
+    def counted(genus, order=None):
+        builds[genus, order] += 1
+        return real(genus, order)
+    monkeypatch.setattr(moduli, "n0_even", counted)
+    rep = run("moduli")
+    assert not rep.failed
+    assert builds == {(3, None): 2, (4, None): 2, (2, None): 1, (2, 40): 1}
 
 
 def test_render_text_one_line_per_check():
