@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .laurent import _check_int
 from .motive import MotiveClass
 from .moduli import n0_odd
 
@@ -64,10 +65,8 @@ def factors_from_weight_part(part: MotiveClass, i: int) -> tuple[tuple[int, int]
 def decompose(genus: int, i: int) -> JacobianDecomposition:
     """Isogeny type of the i-th intermediate jacobian of the odd-determinant
     moduli space, read off the weight-(2i-1) part of its class."""
-    if not isinstance(genus, int) or genus < 2:
-        raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
-    if not 1 <= i <= genus:
-        raise ValueError(f"jacobian index must lie in 1..{genus}, got {i}")
+    _check_int(genus, "genus", 2)
+    _check_int(i, "jacobian index", 1, genus)
     part = n0_odd(genus).weight_part(2 * i - 1)
     return JacobianDecomposition(i, factors_from_weight_part(part, i))
 
@@ -75,8 +74,7 @@ def decompose(genus: int, i: int) -> JacobianDecomposition:
 def closed_multiplicities(i: int) -> list[tuple[int, int]]:
     """Closed factor list for the i-th intermediate jacobian:
     multiplicity ⌊(i+3-3α)/2⌋ for α = 1..⌊(i+1)/3⌋, zeros dropped."""
-    if i < 1:
-        raise ValueError("jacobian index must be positive")
+    _check_int(i, "jacobian index", 1)
     out = []
     for alpha in range(1, (i + 1) // 3 + 1):
         mult = (i + 3 - 3 * alpha) // 2

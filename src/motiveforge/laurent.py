@@ -38,6 +38,19 @@ class DivisorUnitError(ValueError):
     """Series division needs a divisor whose lowest coefficient is +1 or -1."""
 
 
+def _check_int(value, what: str, lo: int | None = None,
+               hi: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an exact ``int`` (bools,
+    floats and strings are not) in lo..hi, a bound left None being open:
+    the one integer-input rule of the public entry points."""
+    if (type(value) is not int or (lo is not None and value < lo)
+            or (hi is not None and value > hi)):
+        bound = (f" in {lo}..{hi}" if lo is not None and hi is not None
+                 else f" >= {lo}" if lo is not None
+                 else f" <= {hi}" if hi is not None else "")
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 class _Exponents(NamedTuple):
     """The exponent monoid of a polynomial type."""
 
@@ -65,12 +78,12 @@ class _SparseLaurent:
         cls = type(self)
         if isinstance(value, cls):
             self._c = value._c  # never mutated, safe to share
-        elif isinstance(value, int):
+        elif type(value) is int:  # bools are refused, not read as 0 and 1
             self._c = {cls._EXP.zero: value} if value else {}
         elif isinstance(value, dict):
             valid = cls._EXP.valid
             for e, c in value.items():
-                if not valid(e) or not isinstance(c, int):
+                if not valid(e) or type(c) is not int:
                     raise TypeError(f"bad {cls.__name__} entry {e!r}: {c!r}")
             self._c = {e: c for e, c in value.items() if c}
         else:
@@ -159,8 +172,7 @@ class _SparseLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _check_int(n, "exponent", 0)
         result = self._coerce(1)
         base = self
         while n:
@@ -259,7 +271,7 @@ class LaurentInt(_SparseLaurent):
 
     __slots__ = ()
     _EXP = _Exponents(zero=0,
-                      valid=lambda e: isinstance(e, int),
+                      valid=lambda e: type(e) is int,
                       add=operator.add, sub=operator.sub,
                       quotient_box=_one_symbol_box, bottom=None)
 
@@ -307,8 +319,7 @@ class LaurentInt(_SparseLaurent):
         other = self._coerce(other)
         if other is NotImplemented:
             raise TypeError("divisor must be a LaurentInt or int")
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        _check_int(order, "series order", 0)
         if not other:
             raise DivisorUnitError("series division by zero")
         unit = other._c[other.min_exp]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentInt
+from .laurent import LaurentInt, _check_int
 from .motive import MotiveClass
 from .series import _check_order, binomial_series, projective_series
 
@@ -32,23 +32,22 @@ class EnumerationGuardError(RuntimeError):
 
 def curve_ranks(genus: int) -> dict[int, int]:
     """Betti ranks of a genus-g curve: 1, 2g, 1."""
+    _check_int(genus, "genus", 1)
     return {0: 1, 1: 2 * genus, 2: 1}
 
 
 def sym_power_curve(genus: int, n: int) -> MotiveClass:
     """Class of the n-th symmetric product of a genus-g curve."""
-    if not isinstance(genus, int) or genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus!r}")
-    if n < 0:
-        raise ValueError("symmetric power index must be non-negative")
+    _check_int(genus, "genus", 1)
+    _check_int(n, "symmetric power index", 0)
     return (binomial_series(genus, n) * projective_series(genus, n))[n]
 
 
 def _validated_ranks(b: dict) -> dict[int, int]:
     out = {}
     for deg, cnt in b.items():
-        if not isinstance(deg, int) or not isinstance(cnt, int) or cnt < 0:
-            raise ValueError(f"bad rank entry {deg!r}: {cnt!r}")
+        _check_int(deg, "rank degree")
+        _check_int(cnt, "rank", 0)
         if cnt:
             out[deg] = cnt
     return out
@@ -63,10 +62,9 @@ def sym_power_ranks(b: dict[int, int], n: int) -> dict[int, int]:
     truncation order, bounded by ``series.SERIES_ORDER_GUARD`` like those of
     the motive-level route.
     """
-    ranks = _validated_ranks(b)
-    if n < 0:
-        raise ValueError("symmetric power index must be non-negative")
+    _check_int(n, "symmetric power index", 0)
     _check_order(n)
+    ranks = _validated_ranks(b)
     series: list[LaurentInt] = [LaurentInt(1)] + [LaurentInt()] * n
     for deg in sorted(ranks):
         cnt = ranks[deg]
@@ -96,9 +94,8 @@ def sym_power_bruteforce(b: dict[int, int], n: int) -> dict[int, int]:
     identities are shared with ``sym_power_ranks``.  Raises when the tally
     work would exceed ENUMERATION_GUARD.
     """
+    _check_int(n, "symmetric power index", 0)
     ranks = _validated_ranks(b)
-    if n < 0:
-        raise ValueError("symmetric power index must be non-negative")
     gens = [deg for deg in sorted(ranks) for _ in range(ranks[deg])]
     work = 0
     # table[k]: degree tally over multisets of k generators from the suffix

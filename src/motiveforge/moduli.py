@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .laurent import ExactDivisionError, LaurentInt
+from .laurent import ExactDivisionError, LaurentInt, _check_int
 from .motive import MotiveClass, lambda_binomial
 from .macdonald import sym_power_curve
 from .series import _check_order
@@ -58,11 +58,6 @@ def range_sum(lo: int, hi: int) -> LaurentInt:
     return LaurentInt({e: -1 for e in range(hi + 1, lo)})
 
 
-def _check_genus(genus: int, minimum: int = 2) -> None:
-    if not isinstance(genus, int) or genus < minimum:
-        raise ValueError(f"genus must be an integer >= {minimum}, got {genus!r}")
-
-
 def _check_chain(genus: int, d: int, top: int) -> None:
     """Refuse, before any work, a degree-d chain whose first space is too
     large or whose walls need symmetric powers S_0..S_top above the series
@@ -80,9 +75,9 @@ def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
     The plus side is a P^(d-2i+g-2)-bundle and the minus side a
     P^(i-1)-bundle, both over the i-th symmetric product of the curve.
     """
-    _check_genus(genus)
-    if i < 0:
-        raise ValueError("wall index must be non-negative")
+    _check_int(genus, "genus", 2)
+    _check_int(d, "degree")
+    _check_int(i, "wall index", 0)
     _check_chain(genus, d, i)
     base = sym_power_curve(genus, i)
     plus = base * range_sum(0, d - 2 * i + genus - 2)
@@ -101,10 +96,9 @@ def _chain(genus: int, d: int, walls: list[MotiveClass]) -> MotiveClass:
 
 def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
     """Class of the i-th moduli space of pairs in the degree-d chain."""
-    _check_genus(genus)
-    if not 0 <= i <= omega_index(d):
-        raise ValueError(
-            f"pair index {i} outside 0..{omega_index(d)} for degree {d}")
+    _check_int(genus, "genus", 2)
+    _check_int(d, "degree")
+    _check_int(i, f"pair index at degree {d}", 0, omega_index(d))
     _check_chain(genus, d, i)
     return _chain(genus, d, [sym_power_curve(genus, j) for j in range(i + 1)])
 
@@ -116,12 +110,12 @@ def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
     because the last pair space fibers over the bundle moduli space in
     projective spaces of dimension d-2g+1.
     """
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     if degree is None:
         degree = 4 * genus - 3
-    if degree % 2 == 0 or degree < 4 * genus - 3:
-        raise ValueError(
-            f"degree must be odd and >= {4 * genus - 3}, got {degree}")
+    _check_int(degree, "degree", 4 * genus - 3)
+    if degree % 2 == 0:
+        raise ValueError(f"degree must be odd, got {degree}")
     last = pair_moduli(genus, degree, omega_index(degree))
     return _odd_quotient(genus, degree, last)
 
@@ -135,7 +129,7 @@ def _odd_quotient(genus: int, degree: int, last: MotiveClass) -> MotiveClass:
 def n0_odd_closed(genus: int) -> MotiveClass:
     """Odd-determinant moduli class from the closed binomial expression:
     ((1 + L)^(h¹) - L^g (1 + 1)^(h¹)) / ((1-L)(1-L²))."""
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     num = (lambda_binomial(0, 1, genus)
            - lambda_binomial(0, 0, genus) * LaurentInt.monomial(genus))
     den = (1 - LaurentInt.monomial(1)) * (1 - LaurentInt.monomial(2))
@@ -160,14 +154,14 @@ def n0_odd(genus: int) -> MotiveClass:
 def kummer(genus: int) -> MotiveClass:
     """Class of the Kummer variety of the curve: the even exterior algebra,
     of rank 2^(2g-1)."""
-    _check_genus(genus, minimum=1)
+    _check_int(genus, "genus", 1)
     return MotiveClass(genus, {a: 1 for a in range(0, 2 * genus + 1, 2)})
 
 
 def ss_preimage(genus: int) -> MotiveClass:
     """Class of the preimage of the singular locus in the last pair space of
     the even chain: a P^(2g-2)-bundle over the (2g-1)-st symmetric product."""
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     _check_order(2 * genus - 1)
     return sym_power_curve(genus, 2 * genus - 1) * range_sum(0, 2 * genus - 2)
 
@@ -275,7 +269,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     walls S_0..S_(2g-2) are built once: the degree-(4g-2) chain and the
     degree-(4g-3) odd chain both end at index 2g - 2 and share them.
     """
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     if order is None:
         order = 8 * genus
     _check_order(order)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .laurent import ExactDivisionError, LaurentInt
+from .laurent import ExactDivisionError, LaurentInt, _check_int
 
 JSON_SCHEMA = "motive-class/v1"
 
@@ -44,14 +44,11 @@ class MotiveClass:
         Indices may run over 0..2g; anything above g is folded down with the
         duality rewrite.  Coefficients may be ints, dicts or LaurentInt.
         """
-        if not isinstance(genus, int) or genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {genus!r}")
+        _check_int(genus, "genus", 1)
         self._g = genus
         acc: dict[int, LaurentInt] = {}
         for a, p in (components or {}).items():
-            if not isinstance(a, int) or a < 0 or a > 2 * genus:
-                raise ValueError(
-                    f"λ-index {a!r} outside 0..{2 * genus} for genus {genus}")
+            _check_int(a, "λ-index", 0, 2 * genus)
             p = LaurentInt(p)
             if not p:
                 continue
@@ -288,9 +285,6 @@ class MotiveClass:
     def from_json_dict(cls, data: dict) -> "MotiveClass":
         if not isinstance(data, dict) or data.get("schema") != JSON_SCHEMA:
             raise ValueError(f"expected a {JSON_SCHEMA} record")
-        genus = data.get("genus")
-        if isinstance(genus, bool):  # a bool is an int; true is not genus 1
-            raise ValueError(f"genus must be a positive integer, got {genus!r}")
         raw = data.get("lambda", {})
         try:
             items = [(int(a), LaurentInt.from_coeff_json(p))
@@ -300,7 +294,7 @@ class MotiveClass:
         components = dict(items)
         if len(components) != len(items):  # "1" and "01" name one index
             raise ValueError(f"duplicate λ-index in lambda map: {raw!r}")
-        return cls(genus, components)
+        return cls(data.get("genus"), components)
 
 
 def _symbol_text(e: int) -> str:
@@ -326,8 +320,7 @@ def lambda_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:
     arguments is NOT symmetric; instead the two orders are related by
     ``(A+B)^M = L^-g · (B·L + A)^M``.
     """
-    if not isinstance(genus, int) or genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus!r}")
+    _check_int(genus, "genus", 1)
     raw = {a: LaurentInt.monomial(exp_a * (2 * genus - a) + exp_b * a)
            for a in range(2 * genus + 1)}
     return MotiveClass(genus, raw)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import (ExactDivisionError, LaurentInt, _Exponents,
+from .laurent import (ExactDivisionError, LaurentInt, _check_int, _Exponents,
                       _SparseLaurent)
 from .motive import MotiveClass
-from .moduli import PipelineIntegrityError, _check_genus
+from .moduli import PipelineIntegrityError
 
 
 def _two_symbol_box(num, den):
@@ -43,8 +43,8 @@ class BiLaurent(_SparseLaurent):
     __slots__ = ()
     _EXP = _Exponents(
         zero=(0, 0),
-        valid=lambda m: (isinstance(m, tuple) and len(m) == 2
-                         and all(isinstance(e, int) for e in m)),
+        valid=lambda m: (type(m) is tuple and len(m) == 2
+                         and type(m[0]) is int and type(m[1]) is int),
         add=lambda m, n: (m[0] + n[0], m[1] + n[1]),
         sub=lambda m, n: (m[0] - n[0], m[1] - n[1]),
         quotient_box=_two_symbol_box, bottom=lambda m: (m[0] + m[1], m[0]))
@@ -136,7 +136,7 @@ def hodge(x: MotiveClass) -> BiLaurent:
 def hn_closed(genus: int) -> LaurentInt:
     """Closed Betti polynomial of the odd-determinant moduli space:
     ((1+t³)^2g - t^2g (1+t)^2g) / ((1-t²)(1-t⁴))."""
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     t = LaurentInt.monomial(1)
     num = (1 + t ** 3) ** (2 * genus) - t ** (2 * genus) * (1 + t) ** (2 * genus)
     den = (1 - t ** 2) * (1 - t ** 4)
@@ -150,7 +150,7 @@ def hn_closed(genus: int) -> LaurentInt:
 def hodge_closed(genus: int) -> BiLaurent:
     """Closed Hodge polynomial of the odd-determinant moduli space:
     ((1+x²y)^g (1+xy²)^g - (xy)^g (1+x)^g (1+y)^g) / ((1-xy)(1-x²y²))."""
-    _check_genus(genus)
+    _check_int(genus, "genus", 2)
     xy = X * Y
     num = ((1 + X ** 2 * Y) ** genus * (1 + X * Y ** 2) ** genus
            - xy ** genus * (1 + X) ** genus * (1 + Y) ** genus)

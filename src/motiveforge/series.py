@@ -10,7 +10,7 @@ pure Tate wherever coefficient classes actually meet.
 
 from __future__ import annotations
 
-from .laurent import LaurentInt
+from .laurent import LaurentInt, _check_int
 from .motive import MotiveClass, UnsupportedProductError, lambda_binomial
 
 
@@ -91,8 +91,7 @@ class MotiveSeries:
 
 
 def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    _check_int(order, "series order", 0)
     if order > SERIES_ORDER_GUARD:
         raise SeriesOrderError(
             f"series order {order} exceeds the guard {SERIES_ORDER_GUARD}")
@@ -138,8 +137,7 @@ def big_f(e1: int, e2: int, e3: int, genus: int, mode: str = "series") -> Motive
     which requires the three exponents to be pairwise distinct.  The two
     modes agree wherever both are defined.
     """
-    if not isinstance(genus, int) or genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus!r}")
+    _check_int(genus, "genus", 1)
     if mode == "series":
         n = 2 * genus
         f = binomial_series(genus, n)

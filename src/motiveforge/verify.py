@@ -73,7 +73,7 @@ class _Ctx:
     def __init__(self, genus_range, cases):
         self.genus_range = genus_range
         self.cases = cases
-        self._even: dict[tuple[int, int | None], moduli.PipelineReport] = {}
+        self._built: dict[tuple, object] = {}
 
     def genera(self, default_list):
         """Clip a check's own genus list by the user-requested range; a
@@ -89,13 +89,13 @@ class _Ctx:
     def rng(self) -> random.Random:
         return random.Random(RNG_SEED)
 
-    def even(self, genus: int, order: int | None = None) -> moduli.PipelineReport:
-        """The even report of (genus, order) that the even checks read,
-        built once per run."""
-        key = (genus, order)
-        if key not in self._even:
-            self._even[key] = moduli.n0_even(genus, order)
-        return self._even[key]
+    def built(self, fn, *args):
+        """``fn(*args)``, a pipeline product the checks share, built once
+        per run."""
+        key = (fn, args)
+        if key not in self._built:
+            self._built[key] = fn(*args)
+        return self._built[key]
 
 
 def _random_laurent(rng, lo=-4, hi=6, terms=4, allow_zero=True) -> LaurentInt:
@@ -361,12 +361,11 @@ def _check_n0_two_path(ctx):
 
 def _check_n0_duality(ctx):
     genera = ctx.genera((2, 3, 4, 5))
-    classes = {g: moduli.n0_odd(g) for g in genera}
-    for g, c in classes.items():
+    for g in genera:
+        c = ctx.built(moduli.n0_odd, g)
         _require(c == c.dual() * LaurentInt.monomial(3 * g - 3), g)
         _require(c.max_weight() == 6 * g - 6, (g, "max weight"))
-    two = classes[2] if 2 in classes else moduli.n0_odd(2)
-    _require(two == MotiveClass(2, {
+    _require(ctx.built(moduli.n0_odd, 2) == MotiveClass(2, {
         0: {0: 1, 1: 1, 2: 1, 3: 1}, 1: {1: 1}}), "n0_odd(2)")
     return "pass", f"genera {list(genera)}"
 
@@ -396,7 +395,7 @@ def _check_kummer(ctx):
 
 
 def _check_even_intermediates(ctx):
-    rep = ctx.even(2, 40)
+    rep = ctx.built(moduli.n0_even, 2, 40)
     mo = rep.stage("m_omega").value
     _require(mo == MotiveClass(2, {
         0: {0: 1, 1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1},
@@ -417,7 +416,7 @@ def _check_even_intermediates(ctx):
 
 
 def _check_step3_nonterminating(ctx):
-    rep = ctx.even(2, 40)
+    rep = ctx.built(moduli.n0_even, 2, 40)
     flags = rep.stage("stable_division_exact").value
     _require(flags == {0: False, 1: False, 2: False}, "exactness flags at g=2")
     comp = rep.stage("m_omega_s").value.component(2)
@@ -432,8 +431,8 @@ def _check_even_report_deterministic(ctx):
     genera = ctx.genera((3, 4))
     for g in genera:
         # the shared report against a fresh build: two independent runs
-        a = json.dumps(ctx.even(g).to_json_dict(), sort_keys=False)
-        b = json.dumps(moduli.n0_even(g).to_json_dict(), sort_keys=False)
+        a = json.dumps(ctx.built(moduli.n0_even, g).to_json_dict())
+        b = json.dumps(moduli.n0_even(g).to_json_dict())
         _require(a == b, g)
     return "pass", f"byte-identical reports on re-run, genera {list(genera)}"
 
@@ -442,7 +441,8 @@ def _check_even_truncation_findings(ctx):
     genera = ctx.genera((3, 4))
     notes = []
     for g in genera:
-        cut, diffs = ctx.even(g).stage("truncation_vs_odd").value
+        rep = ctx.built(moduli.n0_even, g)
+        cut, diffs = rep.stage("truncation_vs_odd").value
         _require(cut == 2 * g - 2, (g, "truncation weight"))
         if diffs:
             notes.append(
@@ -457,7 +457,7 @@ def _check_closed_form_comparators(ctx):
     genera = ctx.genera((2, 3, 4))
     notes = []
     for g in genera:
-        rep = ctx.even(g)
+        rep = ctx.built(moduli.n0_even, g)
         for name in ("m_omega_closed_form", "n0_stable_closed_form"):
             match = rep.stage(name).value
             bad = sorted(m for m, ok in match.items() if not ok)
@@ -471,7 +471,8 @@ def _check_closed_form_comparators(ctx):
 def _check_hn_reproduction(ctx):
     genera = ctx.genera(range(2, 7))
     for g in genera:
-        _require(realize.betti(moduli.n0_odd(g)) == realize.hn_closed(g), g)
+        _require(realize.betti(ctx.built(moduli.n0_odd, g))
+                 == realize.hn_closed(g), g)
     _require(realize.hn_closed(2)
              == LaurentInt({0: 1, 2: 1, 3: 4, 4: 1, 6: 1}), "hn_closed(2)")
     return "pass", f"genera {list(genera)}, plus the g=2 polynomial"
@@ -480,7 +481,8 @@ def _check_hn_reproduction(ctx):
 def _check_hodge_reproduction(ctx):
     genera = ctx.genera((2, 3, 4))
     for g in genera:
-        _require(realize.hodge(moduli.n0_odd(g)) == realize.hodge_closed(g), g)
+        _require(realize.hodge(ctx.built(moduli.n0_odd, g))
+                 == realize.hodge_closed(g), g)
     _require(realize.hodge_closed(2).coeff(2, 1) == 2, "h^(2,1) at g=2")
     return "pass", f"genera {list(genera)}, plus h^(2,1) = 2 at g=2"
 
@@ -499,7 +501,7 @@ def _check_hodge_specialization(ctx):
 def _check_level_bound(ctx):
     genera = ctx.genera((2, 3, 4, 5))
     for g in genera:
-        c = moduli.n0_odd(g)
+        c = ctx.built(moduli.n0_odd, g)
         h = realize.hodge(c)
         _require(all(v > 0 for _, v in h.items()), (g, "not effective"))
         for m, lv in realize.level_per_weight(c).items():
@@ -509,18 +511,18 @@ def _check_level_bound(ctx):
 
 def _check_jacobian_decompositions(ctx):
     genera = ctx.genera((2, 3, 4, 5))
-    built = {}
     for g in genera:
-        bet = realize.betti(moduli.n0_odd(g))
+        bet = realize.betti(ctx.built(moduli.n0_odd, g))
         for i in range(1, g + 1):
-            d = built[g, i] = jacobians.decompose(g, i)
+            # decompose reads its own odd class, not the shared one
+            d = ctx.built(jacobians.decompose, g, i)
             _require(list(d.factors) == jacobians.closed_multiplicities(i),
                      (g, i))
+            _require(i > 1 or d.factors == (), (g, "J^1 is trivial"))
             total = sum(m * comb(2 * g, 2 * a - 1) for a, m in d.factors)
             _require(total == bet.coeff(2 * i - 1), (g, i))
-        _require(built[g, 1].factors == (), (g, "J^1 is trivial"))
-    five = built[5, 5] if (5, 5) in built else jacobians.decompose(5, 5)
-    _require(five.factors == ((1, 2), (2, 1)), "decompose(5, 5)")
+    _require(ctx.built(jacobians.decompose, 5, 5).factors == ((1, 2), (2, 1)),
+             "decompose(5, 5)")
     return "pass", f"factors match the closed multiplicities, genera {list(genera)}"
 
 

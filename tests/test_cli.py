@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -208,16 +209,20 @@ def test_output_bytes(form, fmt, tmp_path, capsys):
     assert err == ""
 
 
-def test_exit_codes(tmp_path, capsys):
-    usage = run_cli("moduli", "n0", "--genus", "2", "--nope")
-    assert usage.returncode == 2
+def test_exit_codes(tmp_path, capsys, monkeypatch):
+    # one cold process per exit status; the cases below run in process
+    ok = run_cli("moduli", "n0", "--genus", "2", "--parity", "odd")
+    assert ok.returncode == 0 and ok.stderr == ""
     integrity = run_cli("big-f", "--genus", "2", "--exponents", "0", "0", "1",
                         "--mode", "closed")
     assert integrity.returncode == 1
     assert "DegenerateDenominatorError" in integrity.stderr
-    bad_parse = run_cli("realize", "--betti", stdin="{not json")
-    assert bad_parse.returncode == 1
-    assert bad_parse.stderr.startswith("motiveforge: JSONDecodeError: ")
+    usage = run_cli("moduli", "n0", "--genus", "2", "--nope")
+    assert usage.returncode == 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+    assert cli.main(["realize", "--betti"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("motiveforge: JSONDecodeError: ")
     # usage errors the parser cannot see: exit 2 with one line on stderr
     for args in (("moduli", "pairs", "--genus", "2"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6"),
@@ -225,14 +230,9 @@ def test_exit_codes(tmp_path, capsys):
                  ("sym-power", "-n", "2"),
                  ("realize", "--betti", "--in", str(tmp_path / "missing.json")),
                  ("sym-power", "--genus", "2", "-n", "2",
-                  "--out", str(tmp_path / "no-such-dir" / "class.json"))):
-        res = run_cli(*args)
-        assert res.returncode == 2, args
-        assert res.stdout == ""
-        assert len(res.stderr.splitlines()) == 1, res.stderr
-        assert "usage error" in res.stderr
-    # an option the chosen form would not read is a usage error, not ignored
-    for args in (("moduli", "n0", "--genus", "2", "--parity", "odd",
+                  "--out", str(tmp_path / "no-such-dir" / "class.json")),
+                 # an option the chosen form would not read is refused too
+                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
                   "--order", "99999"),
                  ("moduli", "n0", "--genus", "2", "--parity", "odd",
                   "--degree", "7", "--order", "20"),
@@ -258,9 +258,21 @@ def test_exit_codes(tmp_path, capsys):
         assert err.startswith("motiveforge: usage error: "), err
     # rank vectors hold ints only
     for ranks in ('{"0":1.5}', '{"0":true}', '[1, 2]'):
-        res = run_cli("sym-power", "-n", "2", "--ranks", ranks)
-        assert res.returncode == 1, ranks
-        assert "ValueError" in res.stderr
+        assert cli.main(["sym-power", "-n", "2", "--ranks", ranks]) == 1, ranks
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("motiveforge: ValueError: "), err
+
+
+def test_pipeline_disagreement_exits_1(monkeypatch, capsys):
+    # the flip chain and the closed formula must agree; make them differ
+    monkeypatch.setattr(moduli, "n0_odd_closed",
+                        lambda genus: MotiveClass.tate(genus, 99))
+    assert cli.main(["moduli", "n0", "--genus", "2", "--parity", "odd"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("motiveforge: PipelineIntegrityError: flip-chain and "
+                          "closed classes disagree at genus 2: "), err
+    assert len(err.splitlines()) == 1
 
 
 def test_out_file(tmp_path):

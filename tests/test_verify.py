@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import motiveforge
-from motiveforge import macdonald, moduli
+from motiveforge import jacobians, macdonald, moduli
 from motiveforge.verify import SUITES, run
 
 
@@ -69,6 +69,22 @@ def test_moduli_suite_builds_each_even_report_once(monkeypatch):
     rep = run("moduli")
     assert not rep.failed
     assert builds == {(3, None): 2, (4, None): 2, (2, None): 1, (2, 40): 1}
+
+
+def test_full_run_builds_each_odd_class_once_per_reader(monkeypatch):
+    # the odd-class checks share one n0_odd(g) per genus; decompose(g, i)
+    # builds its own for each i, once per run
+    builds = Counter()
+    real = moduli.n0_odd
+
+    def counted(genus):
+        builds[genus] += 1
+        return real(genus)
+    monkeypatch.setattr(moduli, "n0_odd", counted)
+    monkeypatch.setattr(jacobians, "n0_odd", counted)
+    rep = run("all", cases=5)
+    assert not rep.failed
+    assert builds == {2: 1 + 2, 3: 1 + 3, 4: 1 + 4, 5: 1 + 5, 6: 1}
 
 
 def test_render_text_one_line_per_check():
