@@ -298,6 +298,7 @@ class LaurentInt(_SparseLaurent):
 
     def scale_exponents(self, k: int) -> "LaurentInt":
         """Substitute the symbol by its k-th power (k nonzero)."""
+        _check_int(k, "exponent scale")
         if k == 0:
             raise ValueError("exponent scale must be nonzero")
         return self._raw({e * k: c for e, c in self._c.items()})

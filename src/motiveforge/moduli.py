@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .laurent import ExactDivisionError, LaurentInt, _check_int
 from .motive import MotiveClass, lambda_binomial
@@ -29,6 +30,15 @@ REPORT_SCHEMA = "pipeline-report/v1"
 #: pipelines use at most 5g - 4 (the even chain at degree 4g - 2)
 CHAIN_DEGREE_GUARD = 10_000
 
+#: largest genus the closed forms (``n0_odd_closed``, ``kummer``,
+#: ``realize.hn_closed`` and ``realize.hodge_closed``) and the pipelines that
+#: read them build; ``hodge_closed``, the largest, takes about 2 s at 200 on
+#: a 2-vCPU host
+CLOSED_GENUS_GUARD = 200
+
+#: genera whose flip-chain odd class ``n0_odd`` keeps for the process
+ODD_MEMO_SIZE = 32
+
 
 class PipelineIntegrityError(ArithmeticError):
     """Two computation paths that must agree did not."""
@@ -36,6 +46,10 @@ class PipelineIntegrityError(ArithmeticError):
 
 class ChainDegreeError(ValueError):
     """A pair chain was asked for beyond CHAIN_DEGREE_GUARD."""
+
+
+class ClosedGenusError(ValueError):
+    """A closed form was asked for beyond CLOSED_GENUS_GUARD."""
 
 
 def omega_index(d: int) -> int:
@@ -67,6 +81,15 @@ def _check_chain(genus: int, d: int, top: int) -> None:
             f"pair chain of degree {d} at genus {genus} starts at "
             f"P^{d + genus - 2}, above the guard {CHAIN_DEGREE_GUARD}")
     _check_order(top)
+
+
+def _check_closed_genus(genus: int, lo: int) -> None:
+    """Refuse, before any work, a genus outside lo..CLOSED_GENUS_GUARD:
+    the size of a closed form grows with its genus."""
+    _check_int(genus, "genus", lo)
+    if genus > CLOSED_GENUS_GUARD:
+        raise ClosedGenusError(
+            f"genus {genus} exceeds the closed-form guard {CLOSED_GENUS_GUARD}")
 
 
 def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
@@ -129,7 +152,7 @@ def _odd_quotient(genus: int, degree: int, last: MotiveClass) -> MotiveClass:
 def n0_odd_closed(genus: int) -> MotiveClass:
     """Odd-determinant moduli class from the closed binomial expression:
     ((1 + L)^(h¹) - L^g (1 + 1)^(h¹)) / ((1-L)(1-L²))."""
-    _check_int(genus, "genus", 2)
+    _check_closed_genus(genus, 2)
     num = (lambda_binomial(0, 1, genus)
            - lambda_binomial(0, 0, genus) * LaurentInt.monomial(genus))
     den = (1 - LaurentInt.monomial(1)) * (1 - LaurentInt.monomial(2))
@@ -146,15 +169,30 @@ def _agreeing_with_closed(genus: int, chain: MotiveClass) -> MotiveClass:
     return chain
 
 
+@lru_cache(maxsize=ODD_MEMO_SIZE)
+def _odd_chain_class(genus: int) -> MotiveClass:
+    """``n0_odd_chain(genus)``, built once per process and genus; the
+    class is immutable, so every caller may share it."""
+    return n0_odd_chain(genus)
+
+
 def n0_odd(genus: int) -> MotiveClass:
-    """Odd-determinant moduli class, with the two computation paths compared."""
-    return _agreeing_with_closed(genus, n0_odd_chain(genus))
+    """Odd-determinant moduli class, with the two computation paths compared.
+
+    The flip-chain class comes from a per-process memo of ODD_MEMO_SIZE
+    genera; the gates run first on every call (the memo's key would take
+    2.0 and True for 2 and 1), and so does the comparison with a freshly
+    built closed class.
+    """
+    _check_closed_genus(genus, 2)
+    _check_chain(genus, 4 * genus - 3, 2 * genus - 2)
+    return _agreeing_with_closed(genus, _odd_chain_class(genus))
 
 
 def kummer(genus: int) -> MotiveClass:
     """Class of the Kummer variety of the curve: the even exterior algebra,
     of rank 2^(2g-1)."""
-    _check_int(genus, "genus", 1)
+    _check_closed_genus(genus, 1)
     return MotiveClass(genus, {a: 1 for a in range(0, 2 * genus + 1, 2)})
 
 
@@ -269,7 +307,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     walls S_0..S_(2g-2) are built once: the degree-(4g-2) chain and the
     degree-(4g-3) odd chain both end at index 2g - 2 and share them.
     """
-    _check_int(genus, "genus", 2)
+    _check_closed_genus(genus, 2)
     if order is None:
         order = 8 * genus
     _check_order(order)

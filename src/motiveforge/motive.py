@@ -181,6 +181,7 @@ class MotiveClass:
 
     def weight_part(self, m: int) -> "MotiveClass":
         """The terms λ_a·L^b with a + 2b = m: one b per λ-index."""
+        _check_int(m, "weight")
         out = {}
         for a, p in self._lam.items():
             b, odd = divmod(m - a, 2)

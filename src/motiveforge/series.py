@@ -32,6 +32,7 @@ class MotiveSeries:
     __slots__ = ("_g", "_coeffs")
 
     def __init__(self, genus: int, coeffs):
+        _check_int(genus, "genus", 1)
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the T^0 coefficient")

@@ -21,13 +21,18 @@ RANKS = {0: 1, 1: 4, 2: 1}
 
 # one call per integer parameter, taking the bad value there; kummer,
 # sym_power_curve and decompose used to write a bool genus or index into the
-# JSON, and MotiveClass rendered λTrue
+# JSON, MotiveClass rendered λTrue, weight_part(4.0) and
+# scale_exponents(1.5) wrote float exponent keys, and a series kept a bool
+# genus
 VALUE_ERRORS = {
     "MotiveClass genus": lambda v: MotiveClass(v, {0: 1}),
     "MotiveClass.tate genus": lambda v: MotiveClass.tate(v, 1),
     "MotiveClass λ-index": lambda v: MotiveClass(2, {v: 1}),
     "MotiveClass.lam λ-index": lambda v: MotiveClass.lam(2, v),
+    "MotiveClass.weight_part weight":
+        lambda v: MotiveClass(2, {0: 1, 1: 1}).weight_part(v),
     "lambda_binomial genus": lambda v: lambda_binomial(0, 1, v),
+    "MotiveSeries genus": lambda v: MotiveSeries(v, [MotiveClass(1)]),
     "big_f genus series": lambda v: big_f(0, 1, 2, v, "series"),
     "big_f genus closed": lambda v: big_f(0, 1, 2, v, "closed"),
     "geometric order": lambda v: geometric(1, 2, v),
@@ -35,6 +40,8 @@ VALUE_ERRORS = {
     "projective_series order": lambda v: projective_series(2, v),
     "series_div order": lambda v: LaurentInt({0: 1, 1: 1}).series_div(1, v),
     "LaurentInt power": lambda v: LaurentInt({0: 1, 1: 1}) ** v,
+    "LaurentInt.scale_exponents scale":
+        lambda v: LaurentInt({0: 1, 1: 2}).scale_exponents(v),
     "BiLaurent power": lambda v: BiLaurent({(0, 1): 1}) ** v,
     "curve_ranks genus": curve_ranks,
     "sym_power_curve genus": lambda v: sym_power_curve(v, 2),

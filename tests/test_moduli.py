@@ -1,14 +1,18 @@
+from types import FunctionType
+
 import pytest
 
 from motiveforge import moduli, series
-from motiveforge.laurent import L, lpow
+from motiveforge.jacobians import closed_multiplicities, decompose
+from motiveforge.laurent import L, LaurentInt, lpow
 from motiveforge.macdonald import sym_power_curve
-from motiveforge.moduli import (ChainDegreeError, n0_even, n0_odd,
-                                n0_odd_chain, kummer, omega_index,
-                                pair_moduli, pw_classes, range_sum,
-                                ss_preimage)
+from motiveforge.moduli import (ChainDegreeError, ClosedGenusError,
+                                PipelineIntegrityError, n0_even, n0_odd,
+                                n0_odd_chain, n0_odd_closed, kummer,
+                                omega_index, pair_moduli, pw_classes,
+                                range_sum, ss_preimage)
 from motiveforge.motive import MotiveClass, lambda_binomial
-from motiveforge.realize import betti
+from motiveforge.realize import BiLaurent, betti, hn_closed, hodge_closed
 
 
 def test_range_sum():
@@ -274,3 +278,105 @@ def test_chain_degree_guard_trips_before_any_work(monkeypatch,
     assert pair_moduli(2, 20, 0) == MotiveClass(2, {0: range_sum(0, 20)})
     n0_even(4)  # degree 14: P^16
     assert sym_power_calls
+
+
+def test_closed_genus_guard_trips_before_any_work(monkeypatch,
+                                                 sym_power_calls):
+    assert moduli.CLOSED_GENUS_GUARD == 200  # the bench realizes up to 24
+    assert issubclass(ClosedGenusError, ValueError)
+    monkeypatch.setattr(moduli, "CLOSED_GENUS_GUARD", 3)
+    too_large = (
+        lambda: n0_odd_closed(4),
+        lambda: kummer(4),
+        lambda: hn_closed(4),
+        lambda: hodge_closed(4),
+        lambda: n0_odd(4),   # compared with n0_odd_closed(4)
+        lambda: n0_even(4),  # adds kummer(4)
+    )
+    with monkeypatch.context() as no_work:
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began before the genus guard")
+        for cls in (LaurentInt, BiLaurent):
+            no_work.setattr(cls, "__mul__", refuse)
+            no_work.setattr(cls, "__rmul__", refuse)
+        for call in too_large:
+            with pytest.raises(ClosedGenusError):
+                call()
+    assert sym_power_calls == []
+    # at the guard they run
+    assert n0_odd(3) == n0_odd_closed(3)
+    assert hodge_closed(3).specialize_diagonal() == hn_closed(3)
+    assert kummer(3).rank() == 2 ** 5
+
+
+# n0_odd keeps the flip-chain class of each genus for the process.  Each test
+# below fills the memo itself, so none depends on the order the tests run in.
+
+def test_odd_memo_builds_each_chain_once(monkeypatch):
+    chains, closed = [], []
+    real_chain, real_closed = moduli.n0_odd_chain, moduli.n0_odd_closed
+
+    def counted_chain(genus, degree=None):
+        chains.append(genus)
+        return real_chain(genus, degree)
+
+    def counted_closed(genus):
+        closed.append(genus)
+        return real_closed(genus)
+    monkeypatch.setattr(moduli, "n0_odd_chain", counted_chain)
+    monkeypatch.setattr(moduli, "n0_odd_closed", counted_closed)
+    moduli._odd_chain_class.cache_clear()
+    odd = n0_odd(4)
+    parts = [decompose(4, i) for i in range(1, 5)]
+    assert chains == [4]
+    # the closed class is built afresh and compared on every call
+    assert closed == [4] * 5
+    assert odd == real_chain(4)
+    assert [list(p.factors) for p in parts] == [
+        closed_multiplicities(i) for i in range(1, 5)]
+    # the oracles stay unmemoized: each call builds its own class
+    assert n0_odd_chain(2) is not n0_odd_chain(2)
+    assert n0_odd_closed(2) is not n0_odd_closed(2)
+
+
+def test_warm_odd_memo_still_compares_with_closed(monkeypatch):
+    n0_odd(2)
+    monkeypatch.setattr(moduli, "n0_odd_closed",
+                        lambda genus: MotiveClass.tate(genus, 99))
+    for call in (lambda: n0_odd(2), lambda: decompose(2, 1)):
+        with pytest.raises(PipelineIntegrityError,
+                           match="disagree at genus 2"):
+            call()
+
+
+def test_warm_odd_memo_keeps_the_guards(monkeypatch):
+    n0_odd(4)  # degree-13 chain: S_0..S_6, starting at P^15
+    for module, guard, limit, error in (
+            (series, "SERIES_ORDER_GUARD", 5, series.SeriesOrderError),
+            (moduli, "CHAIN_DEGREE_GUARD", 14, ChainDegreeError),
+            (moduli, "CLOSED_GENUS_GUARD", 3, ClosedGenusError)):
+        with monkeypatch.context() as patched:
+            patched.setattr(module, guard, limit)
+            with pytest.raises(error):
+                n0_odd(4)
+            with pytest.raises(error):
+                decompose(4, 1)
+    assert n0_odd(4) == n0_odd_closed(4)
+
+
+def test_warm_odd_memo_refuses_non_int_genus():
+    # an lru_cache key takes 2.0 for 2 and True for 1
+    n0_odd(2)
+    n0_odd(3)
+    for bad in (2.0, True, "2", 3.0):
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            n0_odd(bad)
+
+
+def test_odd_memo_is_bounded_and_public_names_stay_plain():
+    assert moduli._odd_chain_class.cache_info().maxsize == moduli.ODD_MEMO_SIZE
+    assert moduli.ODD_MEMO_SIZE == 32
+    # per-function instrumentation wraps plain functions only
+    for name in ("n0_odd", "n0_odd_chain", "n0_odd_closed", "n0_even",
+                 "pair_moduli", "pw_classes", "sym_power_curve"):
+        assert type(getattr(moduli, name)) is FunctionType, name
