@@ -15,7 +15,8 @@ from .series import (DegenerateDenominatorError, MotiveSeries,
                      SeriesOrderError, big_f, binomial_series, geometric,
                      projective_series)
 from .macdonald import (EnumerationGuardError, curve_ranks, sym_power_curve,
-                        sym_power_bruteforce, sym_power_ranks)
+                        sym_power_bruteforce, sym_power_ranks,
+                        sym_power_walls)
 from .moduli import (PipelineIntegrityError, PipelineReport, Stage, kummer,
                      n0_even, n0_odd, n0_odd_chain, n0_odd_closed,
                      omega_index, pair_moduli, pw_classes, range_sum,
@@ -42,5 +43,5 @@ __all__ = [
     "omega_index", "pair_moduli", "projective_series", "pw_classes",
     "range_sum",
     "ss_preimage", "sym_power_bruteforce", "sym_power_curve",
-    "sym_power_ranks",
+    "sym_power_ranks", "sym_power_walls",
 ]

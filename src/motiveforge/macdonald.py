@@ -12,6 +12,10 @@ Three routes, deliberately independent of each other:
   generators, odd-degree generators used at most once, even-degree ones
   without bound, tallied by total degree.  No closed formula enters, so it
   serves as the oracle for the other two.
+
+``sym_power_walls`` is not a fourth route: it reduces the powers S_n with
+n >= g to those below g by Riemann–Roch, and takes those from
+``sym_power_curve``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from math import comb
 
 from .laurent import LaurentInt, _check_int
-from .motive import MotiveClass
+from .motive import MotiveClass, lambda_binomial
 from .series import _check_order, binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
@@ -41,6 +45,37 @@ def sym_power_curve(genus: int, n: int) -> MotiveClass:
     _check_int(genus, "genus", 1)
     _check_int(n, "symmetric power index", 0)
     return (binomial_series(genus, n) * projective_series(genus, n))[n]
+
+
+def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
+    """The classes S_0, ..., S_top of the symmetric products of a genus-g
+    curve, the walls of a flip chain.
+
+    Below g each S_n is one ``sym_power_curve`` call.  From g on,
+    S_n = L^(n-g+1)·S_(2g-2-n) + J·[P^(n-g)], with J = λ_0 + ... + λ_2g the
+    class of the Jacobian and S_m = 0 for m < 0.  Derivation: the
+    Abel–Jacobi map Sym^n C -> Pic^n C has fibre P(H⁰(M)) over a line bundle
+    M, and by Riemann–Roch h⁰(M) = n - g + 1 + h⁰(K - M).  Where
+    h⁰(K - M) = 0 the fibre is P^(n-g), which gives J·[P^(n-g)].  Where
+    h⁰(K - M) = r + 1 > 0 the fibre is P^(n-g+r+1), whose excess over
+    P^(n-g) is L^(n-g+1)·[P^r]; and P^r is the fibre of
+    Sym^(2g-2-n) C -> Pic^(2g-2-n) C over K - M.  Summed over the strata the
+    excess is L^(n-g+1)·S_(2g-2-n).  This is Macdonald's formula (Topology 1,
+    1962) read as the functional equation of the motivic zeta function; from
+    n = 2g-1 on the map is a P^(n-g)-bundle and the first term is absent.
+    """
+    _check_int(genus, "genus", 1)
+    _check_int(top, "symmetric power index", 0)
+    _check_order(top)
+    walls = [sym_power_curve(genus, n) for n in range(min(top + 1, genus))]
+    jac = lambda_binomial(0, 0, genus)
+    for n in range(genus, top + 1):
+        wall = jac * LaurentInt(dict.fromkeys(range(n - genus + 1), 1))
+        if n <= 2 * genus - 2:
+            wall = (wall + walls[2 * genus - 2 - n]
+                    * LaurentInt.monomial(n - genus + 1))
+        walls.append(wall)
+    return walls
 
 
 def _validated_ranks(b: dict) -> dict[int, int]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .laurent import ExactDivisionError, LaurentInt, _check_int
 from .motive import MotiveClass, lambda_binomial
-from .macdonald import sym_power_curve
+from .macdonald import sym_power_curve, sym_power_walls
 from .series import _check_order
 
 REPORT_SCHEMA = "pipeline-report/v1"
@@ -96,11 +96,12 @@ def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
     """Classes of the two flip centers at wall i of the degree-d chain.
 
     The plus side is a P^(d-2i+g-2)-bundle and the minus side a
-    P^(i-1)-bundle, both over the i-th symmetric product of the curve.
+    P^(i-1)-bundle, both over the i-th symmetric product of the curve; a
+    wall index whose plus side would have negative dimension is refused.
     """
     _check_int(genus, "genus", 2)
     _check_int(d, "degree")
-    _check_int(i, "wall index", 0)
+    _check_int(i, f"wall index at degree {d}", 0, (d + genus - 2) // 2)
     _check_chain(genus, d, i)
     base = sym_power_curve(genus, i)
     plus = base * range_sum(0, d - 2 * i + genus - 2)
@@ -110,11 +111,17 @@ def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
 
 def _chain(genus: int, d: int, walls: list[MotiveClass]) -> MotiveClass:
     """Class of M_i in the degree-d chain, i = len(walls) - 1, from the
-    symmetric powers walls[j] = S_j: P^(d+g-2) plus one flip term per wall."""
+    symmetric powers walls[j] = S_j: P^(d+g-2) plus one flip term per wall.
+
+    The flip term of wall j is S_j·range_sum(j, d+g-2-2j), and range_sum is
+    (L^lo - L^(hi+1))/(1 - L); the numerators are summed and divided once.
+    """
+    top = d + genus - 1
     total = MotiveClass.zero(genus)
     for j, sym in enumerate(walls):
-        total = total + sym * range_sum(j, d + genus - 2 - 2 * j)
-    return total
+        total = total + sym * (LaurentInt.monomial(j)
+                               - LaurentInt.monomial(top - 2 * j))
+    return total.exact_div(1 - LaurentInt.monomial(1))
 
 
 def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
@@ -123,7 +130,7 @@ def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
     _check_int(d, "degree")
     _check_int(i, f"pair index at degree {d}", 0, omega_index(d))
     _check_chain(genus, d, i)
-    return _chain(genus, d, [sym_power_curve(genus, j) for j in range(i + 1)])
+    return _chain(genus, d, sym_power_walls(genus, i))
 
 
 def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
@@ -198,10 +205,12 @@ def kummer(genus: int) -> MotiveClass:
 
 def ss_preimage(genus: int) -> MotiveClass:
     """Class of the preimage of the singular locus in the last pair space of
-    the even chain: a P^(2g-2)-bundle over the (2g-1)-st symmetric product."""
+    the even chain: a P^(2g-2)-bundle over the (2g-1)-st symmetric product,
+    itself a P^(g-1)-bundle over the Jacobian (``sym_power_walls``)."""
     _check_int(genus, "genus", 2)
     _check_order(2 * genus - 1)
-    return sym_power_curve(genus, 2 * genus - 1) * range_sum(0, 2 * genus - 2)
+    return (lambda_binomial(0, 0, genus) * range_sum(0, genus - 1)
+            * range_sum(0, 2 * genus - 2))
 
 
 @dataclass(frozen=True)
@@ -304,8 +313,9 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     weight 2g-2, and the two closed-form comparators (diagnostic only: they
     are checked per weight, never used as the computation path).  The series
     order defaults to 8g, the one default the command line also uses.  The
-    walls S_0..S_(2g-2) are built once: the degree-(4g-2) chain and the
-    degree-(4g-3) odd chain both end at index 2g - 2 and share them.
+    walls S_0..S_(2g-2) come from ``sym_power_walls``: the powers from g on
+    by Riemann–Roch from those below g.  The degree-(4g-2) chain and the
+    degree-(4g-3) odd chain both end at index 2g - 2 and read the same list.
     """
     _check_closed_genus(genus, 2)
     if order is None:
@@ -315,7 +325,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     _check_chain(genus, d, 2 * genus - 1)
     lef = LaurentInt.monomial(1)
 
-    walls = [sym_power_curve(genus, j) for j in range(2 * genus - 1)]
+    walls = sym_power_walls(genus, 2 * genus - 2)
     mo = _chain(genus, d, walls)
     odd = _agreeing_with_closed(
         genus, _odd_quotient(genus, d - 1, _chain(genus, d - 1, walls)))

@@ -13,7 +13,7 @@ from motiveforge import (BiLaurent, LaurentInt, MotiveClass, MotiveSeries,
                          n0_odd, n0_odd_chain, n0_odd_closed, pair_moduli,
                          projective_series, pw_classes, ss_preimage,
                          sym_power_bruteforce, sym_power_curve,
-                         sym_power_ranks)
+                         sym_power_ranks, sym_power_walls)
 from motiveforge.laurent import _SparseLaurent
 
 BAD = (True, 2.0, "2")
@@ -46,6 +46,8 @@ VALUE_ERRORS = {
     "curve_ranks genus": curve_ranks,
     "sym_power_curve genus": lambda v: sym_power_curve(v, 2),
     "sym_power_curve power": lambda v: sym_power_curve(2, v),
+    "sym_power_walls genus": lambda v: sym_power_walls(v, 2),
+    "sym_power_walls top": lambda v: sym_power_walls(2, v),
     "sym_power_ranks power": lambda v: sym_power_ranks(RANKS, v),
     "sym_power_ranks degree": lambda v: sym_power_ranks({v: 1}, 2),
     "sym_power_ranks rank": lambda v: sym_power_ranks({1: v}, 2),

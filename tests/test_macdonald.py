@@ -4,7 +4,8 @@ from motiveforge import macdonald, series
 from motiveforge.laurent import L
 from motiveforge.macdonald import (ENUMERATION_GUARD, EnumerationGuardError,
                                    curve_ranks, sym_power_bruteforce,
-                                   sym_power_curve, sym_power_ranks)
+                                   sym_power_curve, sym_power_ranks,
+                                   sym_power_walls)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.moduli import range_sum
 from motiveforge.series import (MotiveSeries, SeriesOrderError,
@@ -62,6 +63,44 @@ def test_sym_power_curve_validates():
         sym_power_curve(0, 2)
     with pytest.raises(ValueError):
         sym_power_curve(2, -1)
+
+
+def test_sym_power_walls_match_series_route():
+    # from g on the walls come by Riemann–Roch, S_(2g-1) on being the
+    # projective bundles over the jacobian; the series route is the oracle
+    for g in range(1, 9):
+        top = 2 * g + 2
+        series_route = [sym_power_curve(g, n) for n in range(top + 1)]
+        assert sym_power_walls(g, top) == series_route, g
+        for short in (0, g - 1, g, 2 * g - 2):
+            if short >= 0:
+                assert (sym_power_walls(g, short)
+                        == series_route[:short + 1]), (g, short)
+
+
+def test_sym_power_walls_use_series_route_below_genus_only(monkeypatch):
+    calls = []
+
+    def counted(genus, n):
+        calls.append(n)
+        return sym_power_curve(genus, n)
+    monkeypatch.setattr(macdonald, "sym_power_curve", counted)
+    sym_power_walls(5, 12)
+    assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    sym_power_walls(5, 2)
+    assert calls == [0, 1, 2]
+
+
+def test_sym_power_walls_validate(monkeypatch):
+    with pytest.raises(ValueError):
+        sym_power_walls(0, 2)
+    with pytest.raises(ValueError):
+        sym_power_walls(2, -1)
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 5)
+    assert len(sym_power_walls(2, 5)) == 6
+    with pytest.raises(SeriesOrderError):
+        sym_power_walls(2, 6)
 
 
 def test_sym_power_ranks_curve_square():

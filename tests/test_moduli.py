@@ -2,7 +2,7 @@ from types import FunctionType
 
 import pytest
 
-from motiveforge import moduli, series
+from motiveforge import macdonald, moduli, series
 from motiveforge.jacobians import closed_multiplicities, decompose
 from motiveforge.laurent import L, LaurentInt, lpow
 from motiveforge.macdonald import sym_power_curve
@@ -41,6 +41,15 @@ def test_pw_classes():
     plus, minus = pw_classes(2, 5, 0)
     assert minus == MotiveClass.zero(2)
     assert plus == MotiveClass(2, {0: range_sum(0, 5)})
+
+
+def test_pw_classes_refuse_negative_plus_dimension():
+    # the plus side is a P^(d-2i+g-2)-bundle: i may reach (d+g-2)/2
+    for g, d, i in ((2, 5, 7), (2, 6, 4), (3, 5, 4), (2, -1, 0)):
+        with pytest.raises(ValueError, match="wall index"):
+            pw_classes(g, d, i)
+    plus, _ = pw_classes(3, 5, 3)
+    assert plus == sym_power_curve(3, 3)  # over P^0
 
 
 def test_pair_moduli_projective_space():
@@ -97,6 +106,25 @@ def test_n0_odd_poincare_duality(registry_passes):
 
 def test_n0_odd_weight_two_part():
     assert n0_odd(2).weight_part(2) == MotiveClass.tate(2, 1)
+
+
+def test_telescoped_chain_matches_flip_terms():
+    # one division by 1 - L against one range_sum per wall
+    for g in range(2, 6):
+        walls = [sym_power_curve(g, j) for j in range(2 * g + 1)]
+        for d in range(2, 4 * g + 1):
+            for i in range(omega_index(d) + 1):
+                per_wall = MotiveClass.zero(g)
+                for j in range(i + 1):
+                    per_wall = (per_wall
+                                + walls[j] * range_sum(j, d + g - 2 - 2 * j))
+                assert moduli._chain(g, d, walls[:i + 1]) == per_wall, (g, d, i)
+                assert pair_moduli(g, d, i) == per_wall, (g, d, i)
+
+
+def test_n0_odd_chain_matches_closed_form():
+    for g in range(2, 11):
+        assert n0_odd_chain(g) == n0_odd_closed(g), g
 
 
 def test_n0_odd_validates_degree():
@@ -227,13 +255,16 @@ def test_n0_even_shares_its_walls_with_the_odd_chain():
 
 @pytest.fixture
 def sym_power_calls(monkeypatch):
-    """The (genus, n) of every symmetric power the moduli layer builds."""
+    """The (genus, n) of every symmetric power the moduli layer builds by
+    the series route: ``pw_classes`` directly, the chains through
+    ``sym_power_walls`` below the genus."""
     calls = []
 
     def counted(genus, n):
         calls.append((genus, n))
         return sym_power_curve(genus, n)
     monkeypatch.setattr(moduli, "sym_power_curve", counted)
+    monkeypatch.setattr(macdonald, "sym_power_curve", counted)
     return calls
 
 
@@ -255,7 +286,7 @@ def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
     # at the guard they run
     pair_moduli(2, 13, 5)
     n0_even(3, 5)  # S_0..S_5, order 5
-    assert max(n for _, n in sym_power_calls) == 5
+    assert max(n for _, n in sym_power_calls) == 2  # S_3.. by Riemann–Roch
 
 
 def test_chain_degree_guard_trips_before_any_work(monkeypatch,
