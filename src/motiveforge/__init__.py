@@ -8,7 +8,7 @@ types of intermediate jacobians.  All arithmetic is exact over Python ints.
 """
 
 from .laurent import (DivisorUnitError, ExactDivisionError, L, LaurentInt,
-                      lpow)
+                      lpow, range_sum)
 from .motive import (GenusMismatchError, MotiveClass, UnsupportedProductError,
                      WeightPart, canonicalize, lambda_binomial)
 from .series import (DegenerateDenominatorError, MotiveSeries,
@@ -19,8 +19,7 @@ from .macdonald import (EnumerationGuardError, curve_ranks, sym_power_curve,
                         sym_power_walls)
 from .moduli import (PipelineIntegrityError, PipelineReport, Stage, kummer,
                      n0_even, n0_odd, n0_odd_chain, n0_odd_closed,
-                     omega_index, pair_moduli, pw_classes, range_sum,
-                     ss_preimage)
+                     omega_index, pair_moduli, pw_classes, ss_preimage)
 from .realize import (BiLaurent, betti, hodge, hodge_closed,
                       hodge_diamond_rows, hn_closed, level_per_weight)
 from .jacobians import (DecompositionError, JacobianDecomposition,

@@ -20,6 +20,7 @@ a unit.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
@@ -49,6 +50,37 @@ def _check_int(value, what: str, lo: int | None = None,
                  else f" >= {lo}" if lo is not None
                  else f" <= {hi}" if hi is not None else "")
         raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+_INT_KEY = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_key(key, what: str) -> int:
+    """The int that a JSON key spells in ASCII decimal, ``[+-]?[0-9]+``:
+    ``int`` alone would also read "1_0", " 3" and "٣"."""
+    if not isinstance(key, str) or not _INT_KEY.fullmatch(key):
+        raise ValueError(f"malformed {what} {key!r}")
+    return int(key)
+
+
+def _signed_sum(terms) -> str:
+    """Join (negative, body) pairs as a signed sum, "0" when there are
+    none: the one layout of every rendered polynomial and class."""
+    parts: list[str] = []
+    for negative, body in terms:
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) or "0"
+
+
+def _spell_power(e: int, mag: int, symbol: str = "L") -> str:
+    """One unsigned term mag·symbol^e: "3", "L", "2·L^-1"."""
+    if e == 0:
+        return str(mag)
+    sym = symbol if e == 1 else f"{symbol}^{e}"
+    return sym if mag == 1 else f"{mag}·{sym}"
 
 
 class _Exponents(NamedTuple):
@@ -250,14 +282,7 @@ class _SparseLaurent:
     def _render(self, spell) -> str:
         """Signed sum of the terms in ascending order; ``spell(exponent,
         magnitude)`` writes one term without its sign."""
-        parts: list[str] = []
-        for e, c in self.items():
-            body = spell(e, abs(c))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) or "0"
+        return _signed_sum((c < 0, spell(e, abs(c))) for e, c in self.items())
 
 
 def _one_symbol_box(num, den) -> Callable[[int], bool]:
@@ -331,12 +356,7 @@ class LaurentInt(_SparseLaurent):
         return quo, not rem
 
     def render(self, symbol: str = "L") -> str:
-        def spell(e: int, mag: int) -> str:
-            if e == 0:
-                return str(mag)
-            sym = symbol if e == 1 else f"{symbol}^{e}"
-            return sym if mag == 1 else f"{mag}·{sym}"
-        return self._render(spell)
+        return self._render(lambda e, mag: _spell_power(e, mag, symbol))
 
     def to_coeff_json(self) -> dict[str, int]:
         """Coefficient map with decimal string keys, lowest exponent first."""
@@ -344,23 +364,36 @@ class LaurentInt(_SparseLaurent):
 
     @classmethod
     def from_coeff_json(cls, data: dict) -> "LaurentInt":
-        """Read a coefficient map: decimal string keys, int values.  Floats,
-        bools and strings are rejected, never coerced, and so are two keys
-        naming one exponent ("1" and "01")."""
+        """Read a coefficient map: ASCII decimal string keys, int values.
+        Floats, bools and strings are rejected, never coerced, and so are
+        two keys naming one exponent ("1" and "01")."""
         if not isinstance(data, dict):
             raise ValueError(f"malformed coefficient map: {data!r}")
         coeffs = {}
         for e, c in data.items():
             if not isinstance(e, str) or type(c) is not int:  # bools are ints
                 raise ValueError(f"malformed coefficient entry {e!r}: {c!r}")
-            try:
-                exp = int(e)
-            except ValueError as exc:
-                raise ValueError(f"malformed exponent {e!r}") from exc
+            exp = _int_key(e, "exponent")
             if exp in coeffs:
                 raise ValueError(f"duplicate exponent {e!r} in {data!r}")
             coeffs[exp] = c
         return cls(coeffs)
+
+
+def range_sum(lo: int, hi: int) -> LaurentInt:
+    """The telescoped sum (L^lo - L^(hi+1))/(1 - L).
+
+    Equals L^lo + ... + L^hi for hi >= lo, so range_sum(0, k) is the class
+    of P^k, and zero for hi = lo-1.  For hi < lo-1 it is
+    -(L^(hi+1) + ... + L^(lo-1)): flip terms past the midpoint of a pair
+    chain subtract cells, and the telescoped value is what keeps the chain
+    consistent with the closed form.
+    """
+    if hi >= lo:
+        return LaurentInt({e: 1 for e in range(lo, hi + 1)})
+    if hi == lo - 1:
+        return LaurentInt()
+    return LaurentInt({e: -1 for e in range(hi + 1, lo)})
 
 
 #: the Lefschetz symbol itself, for building polynomials by arithmetic

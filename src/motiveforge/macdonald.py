@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentInt, _check_int
+from .laurent import LaurentInt, _check_int, range_sum
 from .motive import MotiveClass, lambda_binomial
 from .series import _check_order, binomial_series, projective_series
 
@@ -70,7 +70,7 @@ def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
     walls = [sym_power_curve(genus, n) for n in range(min(top + 1, genus))]
     jac = lambda_binomial(0, 0, genus)
     for n in range(genus, top + 1):
-        wall = jac * LaurentInt(dict.fromkeys(range(n - genus + 1), 1))
+        wall = jac * range_sum(0, n - genus)
         if n <= 2 * genus - 2:
             wall = (wall + walls[2 * genus - 2 - n]
                     * LaurentInt.monomial(n - genus + 1))

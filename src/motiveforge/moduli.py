@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import ExactDivisionError, LaurentInt, _check_int
+from .laurent import LaurentInt, _check_int, range_sum
 from .motive import MotiveClass, lambda_binomial
 from .macdonald import sym_power_curve, sym_power_walls
 from .series import _check_order
@@ -55,21 +55,6 @@ class ClosedGenusError(ValueError):
 def omega_index(d: int) -> int:
     """Index of the last pair-moduli space in the chain of degree d."""
     return (d - 1) // 2
-
-
-def range_sum(lo: int, hi: int) -> LaurentInt:
-    """The telescoped sum (L^lo - L^(hi+1))/(1 - L).
-
-    Equals L^lo + ... + L^hi for hi >= lo and zero for hi = lo-1.  For
-    hi < lo-1 it is -(L^(hi+1) + ... + L^(lo-1)): flip terms past the
-    midpoint of the chain subtract cells, and the telescoped value is what
-    keeps the chain consistent with the closed form.
-    """
-    if hi >= lo:
-        return LaurentInt({e: 1 for e in range(lo, hi + 1)})
-    if hi == lo - 1:
-        return LaurentInt()
-    return LaurentInt({e: -1 for e in range(hi + 1, lo)})
 
 
 def _check_chain(genus: int, d: int, top: int) -> None:
@@ -147,12 +132,6 @@ def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
     if degree % 2 == 0:
         raise ValueError(f"degree must be odd, got {degree}")
     last = pair_moduli(genus, degree, omega_index(degree))
-    return _odd_quotient(genus, degree, last)
-
-
-def _odd_quotient(genus: int, degree: int, last: MotiveClass) -> MotiveClass:
-    """The last pair space of an odd chain, divided by its fibre
-    P^(d-2g+1) over the bundle moduli space."""
     return last.exact_div(range_sum(0, degree - 2 * genus + 1))
 
 
@@ -166,16 +145,6 @@ def n0_odd_closed(genus: int) -> MotiveClass:
     return num.exact_div(den)
 
 
-def _agreeing_with_closed(genus: int, chain: MotiveClass) -> MotiveClass:
-    """The flip-chain odd class, once it equals the closed one."""
-    closed = n0_odd_closed(genus)
-    if chain != closed:
-        raise PipelineIntegrityError(
-            f"flip-chain and closed classes disagree at genus {genus}: "
-            f"{chain.render()} vs {closed.render()}")
-    return chain
-
-
 @lru_cache(maxsize=ODD_MEMO_SIZE)
 def _odd_chain_class(genus: int) -> MotiveClass:
     """``n0_odd_chain(genus)``, built once per process and genus; the
@@ -184,7 +153,9 @@ def _odd_chain_class(genus: int) -> MotiveClass:
 
 
 def n0_odd(genus: int) -> MotiveClass:
-    """Odd-determinant moduli class, with the two computation paths compared.
+    """Odd-determinant moduli class, with the two computation paths compared:
+    the one source of the odd class for ``n0_even``, ``decompose`` and
+    ``verify``.
 
     The flip-chain class comes from a per-process memo of ODD_MEMO_SIZE
     genera; the gates run first on every call (the memo's key would take
@@ -193,7 +164,12 @@ def n0_odd(genus: int) -> MotiveClass:
     """
     _check_closed_genus(genus, 2)
     _check_chain(genus, 4 * genus - 3, 2 * genus - 2)
-    return _agreeing_with_closed(genus, _odd_chain_class(genus))
+    chain, closed = _odd_chain_class(genus), n0_odd_closed(genus)
+    if chain != closed:
+        raise PipelineIntegrityError(
+            f"flip-chain and closed classes disagree at genus {genus}: "
+            f"{chain.render()} vs {closed.render()}")
+    return chain
 
 
 def kummer(genus: int) -> MotiveClass:
@@ -313,9 +289,10 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     weight 2g-2, and the two closed-form comparators (diagnostic only: they
     are checked per weight, never used as the computation path).  The series
     order defaults to 8g, the one default the command line also uses.  The
-    walls S_0..S_(2g-2) come from ``sym_power_walls``: the powers from g on
-    by Riemann–Roch from those below g.  The degree-(4g-2) chain and the
-    degree-(4g-3) odd chain both end at index 2g - 2 and read the same list.
+    walls S_0..S_(2g-2) of the degree-(4g-2) chain come from
+    ``sym_power_walls``: the powers from g on by Riemann–Roch from those
+    below g.  The odd class is ``n0_odd(genus)``: built once per process,
+    compared with the closed form on every call.
     """
     _check_closed_genus(genus, 2)
     if order is None:
@@ -325,10 +302,8 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     _check_chain(genus, d, 2 * genus - 1)
     lef = LaurentInt.monomial(1)
 
-    walls = sym_power_walls(genus, 2 * genus - 2)
-    mo = _chain(genus, d, walls)
-    odd = _agreeing_with_closed(
-        genus, _odd_quotient(genus, d - 1, _chain(genus, d - 1, walls)))
+    mo = _chain(genus, d, sym_power_walls(genus, 2 * genus - 2))
+    odd = n0_odd(genus)
     ss = ss_preimage(genus)
     mos = mo - ss * LaurentInt.monomial(genus - 1)
     stable, flags = mos.series_div(range_sum(0, 2 * genus - 1), order)

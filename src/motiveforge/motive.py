@@ -17,7 +17,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .laurent import ExactDivisionError, LaurentInt, _check_int
+from .laurent import (ExactDivisionError, LaurentInt, _check_int, _int_key,
+                      _signed_sum, _spell_power)
 
 JSON_SCHEMA = "motive-class/v1"
 
@@ -250,29 +251,18 @@ class MotiveClass:
     # -- presentation and interchange -------------------------------------------------
 
     def render(self) -> str:
-        if not self._lam:
-            return "0"
         chunks: list[tuple[bool, str]] = []
-        for a in sorted(self._lam):
-            p = self._lam[a]
+        for a, p in sorted(self._lam.items()):
+            terms = p.items()
             if a == 0:
-                for e, c in p.items():
-                    chunks.append((c < 0, _monomial_text(abs(c), e)))
+                chunks += [(c < 0, _spell_power(e, abs(c))) for e, c in terms]
+            elif len(terms) == 1 and abs(terms[0][1]) == 1:
+                (e, c), = terms
+                body = f"λ{a}" if e == 0 else f"λ{a}·{_spell_power(e, 1)}"
+                chunks.append((c < 0, body))
             else:
-                terms = p.items()
-                if len(terms) == 1 and abs(terms[0][1]) == 1:
-                    e, c = terms[0]
-                    body = f"λ{a}" if e == 0 else f"λ{a}·{_symbol_text(e)}"
-                    chunks.append((c < 0, body))
-                else:
-                    chunks.append((False, f"λ{a}·({p.render()})"))
-        parts = []
-        for negative, body in chunks:
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+                chunks.append((False, f"λ{a}·({p.render()})"))
+        return _signed_sum(chunks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,7 +278,7 @@ class MotiveClass:
             raise ValueError(f"expected a {JSON_SCHEMA} record")
         raw = data.get("lambda", {})
         try:
-            items = [(int(a), LaurentInt.from_coeff_json(p))
+            items = [(_int_key(a, "λ-index"), LaurentInt.from_coeff_json(p))
                      for a, p in raw.items()]
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"malformed lambda map: {raw!r}") from exc
@@ -296,17 +286,6 @@ class MotiveClass:
         if len(components) != len(items):  # "1" and "01" name one index
             raise ValueError(f"duplicate λ-index in lambda map: {raw!r}")
         return cls(data.get("genus"), components)
-
-
-def _symbol_text(e: int) -> str:
-    return "L" if e == 1 else f"L^{e}"
-
-
-def _monomial_text(mag: int, e: int) -> str:
-    if e == 0:
-        return str(mag)
-    sym = _symbol_text(e)
-    return sym if mag == 1 else f"{mag}·{sym}"
 
 
 def canonicalize(raw, genus: int) -> MotiveClass:

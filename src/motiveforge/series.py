@@ -10,7 +10,7 @@ pure Tate wherever coefficient classes actually meet.
 
 from __future__ import annotations
 
-from .laurent import LaurentInt, _check_int
+from .laurent import LaurentInt, _check_int, range_sum
 from .motive import MotiveClass, UnsupportedProductError, lambda_binomial
 
 
@@ -124,7 +124,7 @@ def projective_series(genus: int, order: int) -> MotiveSeries:
     class 1 + L + ... + L^k of P^k."""
     _check_order(order)
     return MotiveSeries(genus, [
-        MotiveClass(genus, {0: dict.fromkeys(range(k + 1), 1)})
+        MotiveClass(genus, {0: range_sum(0, k)})
         for k in range(order + 1)])
 
 

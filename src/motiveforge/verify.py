@@ -90,8 +90,9 @@ class _Ctx:
         return random.Random(RNG_SEED)
 
     def built(self, fn, *args):
-        """``fn(*args)``, a pipeline product the checks share, built once
-        per run."""
+        """``fn(*args)``, an even-pipeline report the checks share, built
+        once per run; the odd class needs no such sharing, since
+        ``moduli.n0_odd`` keeps it for the process."""
         key = (fn, args)
         if key not in self._built:
             self._built[key] = fn(*args)
@@ -362,10 +363,10 @@ def _check_n0_two_path(ctx):
 def _check_n0_duality(ctx):
     genera = ctx.genera((2, 3, 4, 5))
     for g in genera:
-        c = ctx.built(moduli.n0_odd, g)
+        c = moduli.n0_odd(g)
         _require(c == c.dual() * LaurentInt.monomial(3 * g - 3), g)
         _require(c.max_weight() == 6 * g - 6, (g, "max weight"))
-    _require(ctx.built(moduli.n0_odd, 2) == MotiveClass(2, {
+    _require(moduli.n0_odd(2) == MotiveClass(2, {
         0: {0: 1, 1: 1, 2: 1, 3: 1}, 1: {1: 1}}), "n0_odd(2)")
     return "pass", f"genera {list(genera)}"
 
@@ -471,7 +472,7 @@ def _check_closed_form_comparators(ctx):
 def _check_hn_reproduction(ctx):
     genera = ctx.genera(range(2, 7))
     for g in genera:
-        _require(realize.betti(ctx.built(moduli.n0_odd, g))
+        _require(realize.betti(moduli.n0_odd(g))
                  == realize.hn_closed(g), g)
     _require(realize.hn_closed(2)
              == LaurentInt({0: 1, 2: 1, 3: 4, 4: 1, 6: 1}), "hn_closed(2)")
@@ -481,7 +482,7 @@ def _check_hn_reproduction(ctx):
 def _check_hodge_reproduction(ctx):
     genera = ctx.genera((2, 3, 4))
     for g in genera:
-        _require(realize.hodge(ctx.built(moduli.n0_odd, g))
+        _require(realize.hodge(moduli.n0_odd(g))
                  == realize.hodge_closed(g), g)
     _require(realize.hodge_closed(2).coeff(2, 1) == 2, "h^(2,1) at g=2")
     return "pass", f"genera {list(genera)}, plus h^(2,1) = 2 at g=2"
@@ -501,7 +502,7 @@ def _check_hodge_specialization(ctx):
 def _check_level_bound(ctx):
     genera = ctx.genera((2, 3, 4, 5))
     for g in genera:
-        c = ctx.built(moduli.n0_odd, g)
+        c = moduli.n0_odd(g)
         h = realize.hodge(c)
         _require(all(v > 0 for _, v in h.items()), (g, "not effective"))
         for m, lv in realize.level_per_weight(c).items():
@@ -512,16 +513,15 @@ def _check_level_bound(ctx):
 def _check_jacobian_decompositions(ctx):
     genera = ctx.genera((2, 3, 4, 5))
     for g in genera:
-        bet = realize.betti(ctx.built(moduli.n0_odd, g))
+        bet = realize.betti(moduli.n0_odd(g))
         for i in range(1, g + 1):
-            # decompose reads its own odd class, not the shared one
-            d = ctx.built(jacobians.decompose, g, i)
+            d = jacobians.decompose(g, i)
             _require(list(d.factors) == jacobians.closed_multiplicities(i),
                      (g, i))
             _require(i > 1 or d.factors == (), (g, "J^1 is trivial"))
             total = sum(m * comb(2 * g, 2 * a - 1) for a, m in d.factors)
             _require(total == bet.coeff(2 * i - 1), (g, i))
-    _require(ctx.built(jacobians.decompose, 5, 5).factors == ((1, 2), (2, 1)),
+    _require(jacobians.decompose(5, 5).factors == ((1, 2), (2, 1)),
              "decompose(5, 5)")
     return "pass", f"factors match the closed multiplicities, genera {list(genera)}"
 

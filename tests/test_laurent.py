@@ -128,8 +128,11 @@ def test_json_fragment_round_trip():
     with pytest.raises(ValueError):
         LaurentInt.from_coeff_json({"x": 1})
     # floats, bools and numeric strings are rejected, never coerced
+    # keys are ASCII decimal: no digit separators, spaces or other digits
     for bad in ({"0": 1.5, "1": True}, {"0": 1.5}, {"1": True}, {"0": "3"},
-                {"0.5": 1}, [1, 2]):
+                {"0.5": 1}, [1, 2], {"1_0": 1}, {" 3": 1}, {"3 ": 1},
+                {"3\n": 1}, {"٣": 1}, {"³": 1}, {"": 1}, {"+": 1},
+                {"--1": 1}, {"+-1": 1}):
         with pytest.raises(ValueError):
             LaurentInt.from_coeff_json(bad)
     # two keys naming one exponent are rejected, not overwritten

@@ -239,9 +239,9 @@ def test_pipeline_genus_validation():
         n0_odd(1)
 
 
-def test_n0_even_shares_its_walls_with_the_odd_chain():
-    # the even report sums S_0..S_(2g-2) once for both chains; each stage
-    # that reads them equals its route through the public functions
+def test_n0_even_stages_match_the_public_routes():
+    # the last even pair space and the comparison with the odd class
+    # equal their routes through the public functions
     for g in range(2, 7):
         rep = n0_even(g)
         mo = pair_moduli(g, 4 * g - 2, 2 * g - 2)
@@ -374,10 +374,25 @@ def test_warm_odd_memo_still_compares_with_closed(monkeypatch):
     n0_odd(2)
     monkeypatch.setattr(moduli, "n0_odd_closed",
                         lambda genus: MotiveClass.tate(genus, 99))
-    for call in (lambda: n0_odd(2), lambda: decompose(2, 1)):
+    for call in (lambda: n0_odd(2), lambda: decompose(2, 1),
+                 lambda: n0_even(2)):
         with pytest.raises(PipelineIntegrityError,
                            match="disagree at genus 2"):
             call()
+
+
+def test_warm_n0_even_builds_one_chain(monkeypatch):
+    # the odd class comes from the memo; only the degree-(4g-2) chain is built
+    n0_odd(3)
+    chains = []
+    real = moduli._chain
+
+    def counted(genus, d, walls):
+        chains.append((genus, d, len(walls)))
+        return real(genus, d, walls)
+    monkeypatch.setattr(moduli, "_chain", counted)
+    n0_even(3)
+    assert chains == [(3, 10, 5)]
 
 
 def test_warm_odd_memo_keeps_the_guards(monkeypatch):

@@ -178,9 +178,10 @@ def test_json_accepts_uncanonical_indices():
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         MotiveClass.from_json_dict({"schema": "something-else/v1"})
-    with pytest.raises(ValueError):
-        MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": 2,
-                                    "lambda": {"x": {}}})
+    for key in ("x", "0_1", " 1", "1 ", "١", "¹", "", 1):
+        with pytest.raises(ValueError, match="malformed lambda map"):
+            MotiveClass.from_json_dict({"schema": "motive-class/v1",
+                                        "genus": 2, "lambda": {key: {}}})
     with pytest.raises(ValueError):
         MotiveClass.from_json_dict({"schema": "motive-class/v1", "genus": True,
                                     "lambda": {"0": {"0": 1}}})
