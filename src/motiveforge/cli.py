@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Callable, Iterable, NamedTuple
 
-from .laurent import ExactDivisionError, LaurentInt
+from .laurent import ExactDivisionError, LaurentInt, _int_key
 from .motive import MotiveClass, UnsupportedProductError
 from .series import DegenerateDenominatorError, big_f
 from .macdonald import (EnumerationGuardError, sym_power_bruteforce,
@@ -45,8 +45,16 @@ class _Result(NamedTuple):
     status: int = 0
 
 
+def _int(text: str) -> int:
+    """An integer option, spelled as JSON keys are: ASCII ``[+-]?[0-9]+``."""
+    try:
+        return _int_key(text, "integer")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -55,7 +63,7 @@ def _positive_int(text: str) -> int:
 def _genus_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int_key(lo, "range start"), _int_key(hi, "range end")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a range like 2..5, got {text!r}") from None
@@ -94,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "a graded rank vector")
     p.set_defaults(run=_run_sym_power)
     p.add_argument("--genus", type=_positive_int)
-    p.add_argument("-n", "--power", type=int, required=True)
+    p.add_argument("-n", "--power", type=_int, required=True)
     p.add_argument("--ranks", metavar="JSON",
                    help="graded rank vector {degree: rank}; switches to rank level")
     p.add_argument("--bruteforce", action="store_true",
@@ -105,10 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_moduli)
     p.add_argument("kind", choices=("pairs", "n0"))
     p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--index", type=int)
+    p.add_argument("--degree", type=_int)
+    p.add_argument("--index", type=_int)
     p.add_argument("--parity", choices=("odd", "even"))
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_int)
 
     p = sub.add_parser("realize", parents=[common],
                        help="Betti or Hodge realization of a class read from "
@@ -126,14 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="isogeny decomposition of an intermediate jacobian")
     p.set_defaults(run=_run_jacobians)
     p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_int, required=True)
 
     p = sub.add_parser("big-f", parents=[common],
                        help="coefficient extraction against three geometric "
                             "kernels (debugging aid)")
     p.set_defaults(run=_run_big_f)
     p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--exponents", type=int, nargs=3, required=True,
+    p.add_argument("--exponents", type=_int, nargs=3, required=True,
                    metavar=("E1", "E2", "E3"))
     p.add_argument("--mode", choices=("series", "closed", "both"),
                    default="both")

@@ -36,7 +36,7 @@ CHAIN_DEGREE_GUARD = 10_000
 #: a 2-vCPU host
 CLOSED_GENUS_GUARD = 200
 
-#: genera whose flip-chain odd class ``n0_odd`` keeps for the process
+#: genera whose verified odd class ``n0_odd`` keeps for the process
 ODD_MEMO_SIZE = 32
 
 
@@ -146,30 +146,27 @@ def n0_odd_closed(genus: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=ODD_MEMO_SIZE)
-def _odd_chain_class(genus: int) -> MotiveClass:
-    """``n0_odd_chain(genus)``, built once per process and genus; the
-    class is immutable, so every caller may share it."""
-    return n0_odd_chain(genus)
-
-
-def n0_odd(genus: int) -> MotiveClass:
-    """Odd-determinant moduli class, with the two computation paths compared:
-    the one source of the odd class for ``n0_even``, ``decompose`` and
-    ``verify``.
-
-    The flip-chain class comes from a per-process memo of ODD_MEMO_SIZE
-    genera; the gates run first on every call (the memo's key would take
-    2.0 and True for 2 and 1), and so does the comparison with a freshly
-    built closed class.
-    """
-    _check_closed_genus(genus, 2)
-    _check_chain(genus, 4 * genus - 3, 2 * genus - 2)
-    chain, closed = _odd_chain_class(genus), n0_odd_closed(genus)
+def _verified_odd_class(genus: int) -> MotiveClass:
+    """The flip-chain class once it agrees with the closed class; a
+    disagreement raises, and ``lru_cache`` keeps no exception."""
+    chain, closed = n0_odd_chain(genus), n0_odd_closed(genus)
     if chain != closed:
         raise PipelineIntegrityError(
             f"flip-chain and closed classes disagree at genus {genus}: "
             f"{chain.render()} vs {closed.render()}")
     return chain
+
+
+def n0_odd(genus: int) -> MotiveClass:
+    """Odd-determinant moduli class: the one source of the odd class for
+    ``n0_even``, ``decompose`` and ``verify``.  The gates run on every call
+    (the memo's key would take 2.0 and True for 2 and 1); the flip-chain
+    class is compared with ``n0_odd_closed(genus)`` once per genus and
+    process, and a disagreement is never kept.
+    """
+    _check_closed_genus(genus, 2)
+    _check_chain(genus, 4 * genus - 3, 2 * genus - 2)
+    return _verified_odd_class(genus)
 
 
 def kummer(genus: int) -> MotiveClass:
@@ -275,8 +272,8 @@ class PipelineReport:
 
 
 def _weight_match(lhs: MotiveClass, rhs: MotiveClass) -> dict[int, bool]:
-    weights = sorted(set(lhs.weights()) | set(rhs.weights()))
-    return {m: lhs.weight_part(m) == rhs.weight_part(m) for m in weights}
+    bad = set((lhs - rhs).weights())
+    return {m: m not in bad for m in sorted({*lhs.weights(), *rhs.weights()})}
 
 
 def n0_even(genus: int, order: int | None = None) -> PipelineReport:
@@ -291,8 +288,8 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     order defaults to 8g, the one default the command line also uses.  The
     walls S_0..S_(2g-2) of the degree-(4g-2) chain come from
     ``sym_power_walls``: the powers from g on by Riemann–Roch from those
-    below g.  The odd class is ``n0_odd(genus)``: built once per process,
-    compared with the closed form on every call.
+    below g.  The odd class is ``n0_odd(genus)``: built and compared with
+    the closed form once per genus and process.
     """
     _check_closed_genus(genus, 2)
     if order is None:

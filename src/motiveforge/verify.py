@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .laurent import LaurentInt
+from .laurent import LaurentInt, _check_int
 from .motive import MotiveClass, lambda_binomial
 from . import macdonald, moduli, realize, jacobians
 from .series import big_f, binomial_series, geometric
@@ -577,6 +577,11 @@ def run(suite: str = "all", genus_range: tuple[int, int] | None = None,
         cases: int = 1000) -> VerifyReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    _check_int(cases, "cases", 1)
+    if genus_range is not None:
+        lo, hi = genus_range
+        _check_int(lo, "genus range start")
+        _check_int(hi, "genus range end", lo)
     ctx = _Ctx(genus_range, cases)
     results = []
     for name, check_suite, fn in _CHECKS:

@@ -256,6 +256,25 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert out == ""
         assert len(err.splitlines()) == 1, err
         assert err.startswith("motiveforge: usage error: "), err
+    # integer options are spelled as JSON keys are, ASCII [+-]?[0-9]+; the
+    # parser refuses any other spelling with exit 2
+    for args in (("jacobians", "--genus", " 3", "--index", "2"),
+                 ("jacobians", "--genus", "\u0663", "--index", "2"),
+                 ("jacobians", "--genus", "3", "--index", "1_0"),
+                 ("sym-power", "--genus", "2", "-n", " 2"),
+                 ("moduli", "pairs", "--genus", "2", "--degree", "6.0",
+                  "--index", "1"),
+                 ("moduli", "n0", "--genus", "2", "--parity", "even",
+                  "--order", "1_6"),
+                 ("big-f", "--genus", "2", "--exponents", "0", "1", "2 "),
+                 ("verify", "--suite", "series", "--genus-range", " 2..3"),
+                 ("verify", "--suite", "series", "--genus-range", "2..\u0663"),
+                 ("verify", "--suite", "series", "--cases", "1_0")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument" in err, err
     # rank vectors hold ints only
     for ranks in ('{"0":1.5}', '{"0":true}', '[1, 2]'):
         assert cli.main(["sym-power", "-n", "2", "--ranks", ranks]) == 1, ranks
@@ -264,7 +283,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 def test_pipeline_disagreement_exits_1(monkeypatch, capsys):
-    # the flip chain and the closed formula must agree; make them differ
+    # the flip chain and the closed formula must agree; make them differ on
+    # a cold memo, since an earlier test may have verified genus 2
+    moduli._verified_odd_class.cache_clear()
     monkeypatch.setattr(moduli, "n0_odd_closed",
                         lambda genus: MotiveClass.tate(genus, 99))
     assert cli.main(["moduli", "n0", "--genus", "2", "--parity", "odd"]) == 1

@@ -14,6 +14,7 @@ from motiveforge import (BiLaurent, LaurentInt, MotiveClass, MotiveSeries,
                          projective_series, pw_classes, ss_preimage,
                          sym_power_bruteforce, sym_power_curve,
                          sym_power_ranks, sym_power_walls)
+from motiveforge import verify
 from motiveforge.laurent import _SparseLaurent
 
 BAD = (True, 2.0, "2")
@@ -73,6 +74,9 @@ VALUE_ERRORS = {
     "decompose genus": lambda v: decompose(v, 1),
     "decompose index": lambda v: decompose(2, v),
     "closed_multiplicities index": closed_multiplicities,
+    "verify.run cases": lambda v: verify.run("lambda", None, v),
+    "verify.run genus range start": lambda v: verify.run("lambda", (v, 3)),
+    "verify.run genus range end": lambda v: verify.run("lambda", (2, v)),
 }
 
 # a bool coefficient or exponent used to reach the JSON as true or "True"
@@ -119,3 +123,18 @@ def test_polynomial_entries_refuse_non_ints(name, bad, no_work):
     with pytest.raises(TypeError):
         TYPE_ERRORS[name](bad)
 
+
+
+def test_verify_refuses_bad_cases_and_ranges_before_any_check(monkeypatch):
+    # "0 randomized cases" used to pass, and so did -3; (2.5, 3) was taken
+    ran = []
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("probe", "lambda", lambda ctx: ran.append(ctx) or ("pass", ""))])
+    for cases, genus_range in ((0, None), (-3, None), (5, (2.5, 3)),
+                               (5, (3, 2))):
+        with pytest.raises(ValueError) as exc:
+            verify.run("lambda", genus_range, cases)
+        assert MESSAGE.match(str(exc.value)), str(exc.value)
+    assert ran == []
+    assert not verify.run("lambda", (2, 2), 1).failed
+    assert len(ran) == 1

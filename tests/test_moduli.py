@@ -340,8 +340,9 @@ def test_closed_genus_guard_trips_before_any_work(monkeypatch,
     assert kummer(3).rank() == 2 ** 5
 
 
-# n0_odd keeps the flip-chain class of each genus for the process.  Each test
-# below fills the memo itself, so none depends on the order the tests run in.
+# n0_odd keeps the verified odd class of each genus for the process.  Each
+# test below fills or clears the memo itself, so none depends on the order
+# the tests run in.
 
 def test_odd_memo_builds_each_chain_once(monkeypatch):
     chains, closed = [], []
@@ -356,12 +357,13 @@ def test_odd_memo_builds_each_chain_once(monkeypatch):
         return real_closed(genus)
     monkeypatch.setattr(moduli, "n0_odd_chain", counted_chain)
     monkeypatch.setattr(moduli, "n0_odd_closed", counted_closed)
-    moduli._odd_chain_class.cache_clear()
+    moduli._verified_odd_class.cache_clear()
     odd = n0_odd(4)
     parts = [decompose(4, i) for i in range(1, 5)]
+    n0_even(4)
+    # the two paths are built and compared once per genus and process
     assert chains == [4]
-    # the closed class is built afresh and compared on every call
-    assert closed == [4] * 5
+    assert closed == [4]
     assert odd == real_chain(4)
     assert [list(p.factors) for p in parts] == [
         closed_multiplicities(i) for i in range(1, 5)]
@@ -370,15 +372,18 @@ def test_odd_memo_builds_each_chain_once(monkeypatch):
     assert n0_odd_closed(2) is not n0_odd_closed(2)
 
 
-def test_warm_odd_memo_still_compares_with_closed(monkeypatch):
-    n0_odd(2)
-    monkeypatch.setattr(moduli, "n0_odd_closed",
+def test_cold_odd_memo_keeps_no_disagreement(monkeypatch):
+    moduli._verified_odd_class.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(moduli, "n0_odd_closed",
                         lambda genus: MotiveClass.tate(genus, 99))
-    for call in (lambda: n0_odd(2), lambda: decompose(2, 1),
-                 lambda: n0_even(2)):
-        with pytest.raises(PipelineIntegrityError,
-                           match="disagree at genus 2"):
-            call()
+        for call in (lambda: n0_odd(2), lambda: decompose(2, 1),
+                     lambda: n0_even(2)):
+            with pytest.raises(PipelineIntegrityError,
+                               match="disagree at genus 2"):
+                call()
+    # no failure was memoized: the lifted patch gives the right class
+    assert n0_odd(2) == n0_odd_chain(2) == n0_odd_closed(2)
 
 
 def test_warm_n0_even_builds_one_chain(monkeypatch):
@@ -420,7 +425,8 @@ def test_warm_odd_memo_refuses_non_int_genus():
 
 
 def test_odd_memo_is_bounded_and_public_names_stay_plain():
-    assert moduli._odd_chain_class.cache_info().maxsize == moduli.ODD_MEMO_SIZE
+    assert (moduli._verified_odd_class.cache_info().maxsize
+            == moduli.ODD_MEMO_SIZE)
     assert moduli.ODD_MEMO_SIZE == 32
     # per-function instrumentation wraps plain functions only
     for name in ("n0_odd", "n0_odd_chain", "n0_odd_closed", "n0_even",
