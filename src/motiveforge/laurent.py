@@ -4,14 +4,15 @@ A polynomial is a sparse map {exponent: coefficient}.  Exponents may be
 negative, coefficients are Python ints (so nothing ever overflows), and zero
 coefficients are never stored.  Values are immutable and safe to share.
 
-``_SparseLaurent`` implements validation, coercion, ``+ - * **``, ``==`` and
-bottom-up exact division once, over the exponent monoid (``_Exponents``) that
-a subclass names: ``LaurentInt`` in the one symbol L, ``realize.BiLaurent``
-in two.  The types never mix; combining them raises ``TypeError``.
+``_SparseLaurent`` implements validation, coercion, ``+ - * **`` and ``==``
+once, over the exponent monoid (``_Exponents``) that a subclass names:
+``LaurentInt`` in the one symbol L, ``realize.BiLaurent`` in two.  The types
+never mix; combining them raises ``TypeError``.
 
-``exact_div`` fails loudly, carrying the remainder, when the quotient is not
-an integer Laurent polynomial; it stops as soon as a quotient term leaves the
-box that the Newton polytopes give every exact quotient, so it always ends.
+Division is one-symbol only.  ``LaurentInt.exact_div`` divides from the
+bottom term and fails loudly, carrying the remainder, when the quotient is
+not an integer Laurent polynomial; it stops once a quotient exponent passes
+max(self) - max(other), where every exact quotient ends, so it always ends.
 ``LaurentInt.series_div`` expands ``self/other`` as a power series in L up to
 a requested exponent, which only needs the divisor's bottom coefficient to be
 a unit.
@@ -89,11 +90,6 @@ class _Exponents(NamedTuple):
     zero: object  # exponent of the constant term
     valid: Callable[[object], bool]  # accepted by the public constructor
     add: Callable
-    sub: Callable
-    # (numerator exponents, divisor exponents) -> test of a quotient
-    # exponent against the box holding the support of every exact quotient
-    quotient_box: Callable
-    bottom: Callable | None  # bottom-order key (None: plain order)
 
 
 class _SparseLaurent:
@@ -214,69 +210,6 @@ class _SparseLaurent:
             n >>= 1
         return result
 
-    # -- division -----------------------------------------------------------
-
-    def _long_div(self, other, inside: Callable):
-        """(quotient, remainder map) of dividing by nonzero ``other`` from
-        the bottom term until the next quotient exponent fails ``inside``.
-
-        The bottom terms come from a heap of remainder exponents (the
-        exponent itself, or ``(key, exponent)`` when the order has a key).
-        Each division step only adds terms strictly above the term it
-        cancels, so an exponent is pushed once, when it first enters the
-        remainder; a cancelled one stays in the map as 0 and is skipped
-        when popped."""
-        add, sub, key = self._EXP.add, self._EXP.sub, self._EXP.bottom
-        lo = min(other._c, key=key)
-        unit = other._c[lo]
-        terms = other._c.items()
-        rem = dict(self._c)
-        heap = list(rem) if key is None else [(key(e), e) for e in rem]
-        heapify(heap)
-        quo: dict = {}
-        while heap:
-            e = heappop(heap)
-            if key is not None:
-                e = e[1]
-            c = rem[e]
-            if not c:
-                continue
-            qe = sub(e, lo)
-            if not inside(qe):
-                return self._raw(quo), {k: v for k, v in rem.items() if v}
-            if c % unit:
-                raise ExactDivisionError(
-                    f"non-exact division: coefficient {c} at exponent {e} not "
-                    f"divisible by {unit}",
-                    remainder=self._raw({k: v for k, v in rem.items() if v}))
-            t = c // unit
-            quo[qe] = t
-            for de, dc in terms:
-                ee = add(qe, de)
-                if ee in rem:
-                    rem[ee] -= t * dc
-                else:
-                    rem[ee] = -t * dc
-                    heappush(heap, ee if key is None else (key(ee), ee))
-        return self._raw(quo), {}
-
-    def exact_div(self, other):
-        """Long division from the bottom term; the remainder must vanish."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError(f"divisor must be a {type(self).__name__} or int")
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return self._raw({})
-        inside = self._EXP.quotient_box(self._c, other._c)
-        quo, rem = self._long_div(other, inside)
-        if rem:
-            left = self._raw(rem)
-            raise ExactDivisionError(
-                f"non-exact division: remainder {left.render()}", remainder=left)
-        return quo
-
     # -- presentation ---------------------------------------------------------
 
     def _render(self, spell) -> str:
@@ -285,26 +218,18 @@ class _SparseLaurent:
         return _signed_sum((c < 0, spell(e, abs(c))) for e, c in self.items())
 
 
-def _one_symbol_box(num, den) -> Callable[[int], bool]:
-    # The first quotient exponent is min(num) - min(den), the box's lower
-    # end, and later ones only grow, so only the upper end is tested.
-    return (max(num) - max(den)).__ge__
-
-
 class LaurentInt(_SparseLaurent):
     """Integer Laurent polynomials in the single symbol L; sparse {e: c}."""
 
     __slots__ = ()
     _EXP = _Exponents(zero=0,
                       valid=lambda e: type(e) is int,
-                      add=operator.add, sub=operator.sub,
-                      quotient_box=_one_symbol_box, bottom=None)
+                      add=operator.add)
 
     # Bound on the class itself, so that per-class instrumentation
     # (bench/tracing.py) patches the one-symbol type alone.
     __init__ = _SparseLaurent.__init__
     __mul__ = __rmul__ = _SparseLaurent.__mul__
-    exact_div = _SparseLaurent.exact_div
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentInt":
@@ -334,6 +259,63 @@ class LaurentInt(_SparseLaurent):
         for e, c in self._c.items():
             total += c * Fraction(value) ** e
         return int(total) if total.denominator == 1 else total
+
+    def _long_div(self, other: "LaurentInt", inside: Callable[[int], bool]):
+        """(quotient, remainder map) of dividing by nonzero ``other`` from
+        the bottom term until the next quotient exponent fails ``inside``.
+
+        The bottom terms come from a heap of remainder exponents.  Each
+        division step only adds terms strictly above the term it cancels,
+        so an exponent is pushed once, when it first enters the remainder;
+        a cancelled one stays in the map as 0 and is skipped when popped."""
+        lo = min(other._c)
+        unit = other._c[lo]
+        terms = other._c.items()
+        rem = dict(self._c)
+        heap = list(rem)
+        heapify(heap)
+        quo: dict = {}
+        while heap:
+            e = heappop(heap)
+            c = rem[e]
+            if not c:
+                continue
+            qe = e - lo
+            if not inside(qe):
+                return self._raw(quo), {k: v for k, v in rem.items() if v}
+            if c % unit:
+                raise ExactDivisionError(
+                    f"non-exact division: coefficient {c} at exponent {e} not "
+                    f"divisible by {unit}",
+                    remainder=self._raw({k: v for k, v in rem.items() if v}))
+            t = c // unit
+            quo[qe] = t
+            for de, dc in terms:
+                ee = qe + de
+                if ee in rem:
+                    rem[ee] -= t * dc
+                else:
+                    rem[ee] = -t * dc
+                    heappush(heap, ee)
+        return self._raw(quo), {}
+
+    def exact_div(self, other) -> "LaurentInt":
+        """Long division from the bottom term; the remainder must vanish.
+        Quotient exponents only grow, and an exact quotient ends at
+        max(self) - max(other), so the division stops there."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            raise TypeError("divisor must be a LaurentInt or int")
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self:
+            return self._raw({})
+        quo, rem = self._long_div(other, (max(self._c) - max(other._c)).__ge__)
+        if rem:
+            left = self._raw(rem)
+            raise ExactDivisionError(
+                f"non-exact division: remainder {left.render()}", remainder=left)
+        return quo
 
     def series_div(self, other, order: int) -> tuple["LaurentInt", bool]:
         """Expand self/other as a series up to the given exponent.

@@ -126,10 +126,12 @@ def sym_power_bruteforce(b: dict[int, int], n: int) -> dict[int, int]:
 
     Tallies generator by generator over the expanded basis (each of the b_i
     generators of degree i separately, memoized by suffix), so no binomial
-    identities are shared with ``sym_power_ranks``.  Raises when the tally
-    work would exceed ENUMERATION_GUARD.
+    identities are shared with ``sym_power_ranks``.  The power n is bounded
+    by ``series.SERIES_ORDER_GUARD`` as there, and the tally work by
+    ENUMERATION_GUARD.
     """
     _check_int(n, "symmetric power index", 0)
+    _check_order(n)
     ranks = _validated_ranks(b)
     gens = [deg for deg in sorted(ranks) for _ in range(ranks[deg])]
     work = 0

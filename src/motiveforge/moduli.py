@@ -32,8 +32,8 @@ CHAIN_DEGREE_GUARD = 10_000
 
 #: largest genus the closed forms (``n0_odd_closed``, ``kummer``,
 #: ``realize.hn_closed`` and ``realize.hodge_closed``) and the pipelines that
-#: read them build; ``hodge_closed``, the largest, takes about 2 s at 200 on
-#: a 2-vCPU host
+#: read them build; ``hodge_closed``, the largest, takes about 0.6 s at 200
+#: on a 2-vCPU host
 CLOSED_GENUS_GUARD = 200
 
 #: genera whose verified odd class ``n0_odd`` keeps for the process

@@ -274,9 +274,11 @@ class MotiveClass:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotiveClass":
-        if not isinstance(data, dict) or data.get("schema") != JSON_SCHEMA:
-            raise ValueError(f"expected a {JSON_SCHEMA} record")
-        raw = data.get("lambda", {})
+        if (not isinstance(data, dict) or data.get("schema") != JSON_SCHEMA
+                or data.keys() != {"schema", "genus", "lambda"}):
+            raise ValueError(f"expected a {JSON_SCHEMA} record: exactly the "
+                             f"keys schema, genus and lambda")
+        raw = data["lambda"]
         try:
             items = [(_int_key(a, "λ-index"), LaurentInt.from_coeff_json(p))
                      for a, p in raw.items()]
@@ -285,7 +287,7 @@ class MotiveClass:
         components = dict(items)
         if len(components) != len(items):  # "1" and "01" name one index
             raise ValueError(f"duplicate λ-index in lambda map: {raw!r}")
-        return cls(data.get("genus"), components)
+        return cls(data["genus"], components)
 
 
 def canonicalize(raw, genus: int) -> MotiveClass:

@@ -6,6 +6,10 @@ scalars: λ_a goes to C(2g,a)·t^a on the Betti side and to
 and xy.  Setting x = y = t in a Hodge realization recovers the Betti one
 (Vandermonde).  The closed Betti and Hodge expressions for the odd-degree
 moduli space are provided as independent cross-checks.
+
+Division is one-symbol (``LaurentInt.exact_div``): the closed Hodge divisor
+lies in Z[xy], which keeps each level i - j, so ``hodge_closed`` splits its
+numerator by level and divides each level in u = xy alone.
 """
 
 from __future__ import annotations
@@ -18,26 +22,10 @@ from .motive import MotiveClass
 from .moduli import PipelineIntegrityError, _check_closed_genus
 
 
-def _two_symbol_box(num, den):
-    """Test of a quotient exponent against the box [min(num) - min(den),
-    max(num) - max(den)] on each axis and on the total degree: the Newton
-    polytope of an exact quotient q is that of num less that of den, so q's
-    exponents stay inside it."""
-    (nx, ny), (dx, dy) = zip(*num), zip(*den)
-    nt, dt = [i + j for i, j in num], [i + j for i, j in den]
-    x0, x1 = min(nx) - min(dx), max(nx) - max(dx)
-    y0, y1 = min(ny) - min(dy), max(ny) - max(dy)
-    t0, t1 = min(nt) - min(dt), max(nt) - max(dt)
-    return lambda m: (x0 <= m[0] <= x1 and y0 <= m[1] <= y1
-                      and t0 <= m[0] + m[1] <= t1)
-
-
 class BiLaurent(_SparseLaurent):
     """Integer Laurent polynomials in two symbols x, y; sparse {(i, j): c}.
 
-    The arithmetic is ``laurent._SparseLaurent``'s; long division takes the
-    bottom term in graded-lex order (total degree, then the x exponent) and
-    stops once a quotient exponent leaves the Newton box of exact quotients.
+    The arithmetic is ``laurent._SparseLaurent``'s; there is no division.
     """
 
     __slots__ = ()
@@ -45,9 +33,7 @@ class BiLaurent(_SparseLaurent):
         zero=(0, 0),
         valid=lambda m: (type(m) is tuple and len(m) == 2
                          and type(m[0]) is int and type(m[1]) is int),
-        add=lambda m, n: (m[0] + n[0], m[1] + n[1]),
-        sub=lambda m, n: (m[0] - n[0], m[1] - n[1]),
-        quotient_box=_two_symbol_box, bottom=lambda m: (m[0] + m[1], m[0]))
+        add=lambda m, n: (m[0] + n[0], m[1] + n[1]))
 
     # Bound on the class itself, so that per-class instrumentation
     # (bench/tracing.py) patches the two-symbol type alone.
@@ -151,15 +137,28 @@ def hodge_closed(genus: int) -> BiLaurent:
     """Closed Hodge polynomial of the odd-determinant moduli space:
     ((1+x²y)^g (1+xy²)^g - (xy)^g (1+x)^g (1+y)^g) / ((1-xy)(1-x²y²))."""
     _check_closed_genus(genus, 2)
-    xy = X * Y
     num = ((1 + X ** 2 * Y) ** genus * (1 + X * Y ** 2) ** genus
-           - xy ** genus * (1 + X) ** genus * (1 + Y) ** genus)
-    den = (1 - xy) * (1 - xy ** 2)
+           - (X * Y) ** genus * (1 + X) ** genus * (1 + Y) ** genus)
+    return _divide_levels(num, genus)
+
+
+def _divide_levels(num: BiLaurent, genus: int) -> BiLaurent:
+    """num / ((1-xy)(1-x²y²)), one level k = i - j at a time: x^i·y^j is
+    x^k·u^j in u = xy, and a divisor in u keeps each level."""
+    u = LaurentInt.monomial(1)
+    den = (1 - u) * (1 - u ** 2)
+    levels: dict[int, dict[int, int]] = {}
+    for (i, j), c in num._c.items():
+        levels.setdefault(i - j, {})[j] = c
+    out = {}
     try:
-        return num.exact_div(den)
+        for k, terms in levels.items():
+            for j, c in LaurentInt._raw(terms).exact_div(den)._c.items():
+                out[j + k, j] = c
     except ExactDivisionError as exc:
         raise PipelineIntegrityError(
             f"closed Hodge division not exact at genus {genus}") from exc
+    return BiLaurent._raw(out)
 
 
 def level_per_weight(x: MotiveClass) -> dict[int, int]:

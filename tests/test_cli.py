@@ -74,18 +74,18 @@ def test_realize_level_flag():
     assert data["level_per_weight"] == {"0": 0, "2": 0, "3": 1, "4": 0, "6": 0}
 
 
-def test_emitted_class_reparses_everywhere():
+def test_emitted_class_reparses_everywhere(capsys):
     for args in (("sym-power", "--genus", "3", "-n", "4"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6",
                   "--index", "2"),
                  ("moduli", "n0", "--genus", "3", "--parity", "odd"),
                  ("big-f", "--genus", "2", "--exponents", "0", "1", "2",
                   "--mode", "closed")):
-        res = run_cli(*args)
-        assert res.returncode == 0, args
-        parsed = MotiveClass.from_json_dict(json.loads(res.stdout))
-        again = run_cli(*args)
-        assert MotiveClass.from_json_dict(json.loads(again.stdout)) == parsed
+        assert cli.main(list(args)) == 0, args
+        parsed = MotiveClass.from_json_dict(json.loads(capsys.readouterr().out))
+        cli.main(list(args))
+        again = capsys.readouterr().out
+        assert MotiveClass.from_json_dict(json.loads(again)) == parsed
 
 
 def test_byte_identical_reruns():
@@ -223,6 +223,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["realize", "--betti"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("motiveforge: JSONDecodeError: ")
+    # a record must hold exactly the keys schema, genus and lambda: a
+    # misspelled "lambda" is not the zero class
+    typo = {"schema": "motive-class/v1", "genus": 3, "lamda": {"1": {"0": 5}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(typo)))
+    assert cli.main(["realize", "--betti"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "motiveforge: ValueError: expected a motive-class/v1 record"), err
     # usage errors the parser cannot see: exit 2 with one line on stderr
     for args in (("moduli", "pairs", "--genus", "2"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6"),
@@ -320,11 +328,12 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("motiveforge: SeriesOrderError: series order 5 exceeds "
                    "the guard 4\n")
-    ranks = '{"0": 1, "2": 1}'
-    assert cli.main(["sym-power", "--ranks", ranks, "-n", "4"]) == 0
-    capsys.readouterr()
-    assert cli.main(["sym-power", "--ranks", ranks, "-n", "5"]) == 1
-    assert capsys.readouterr().err == err
+    ranks = ["sym-power", "--ranks", '{"0": 1, "2": 1}']
+    for form in (ranks, ranks + ["--bruteforce"]):
+        assert cli.main(form + ["-n", "4"]) == 0
+        capsys.readouterr()
+        assert cli.main(form + ["-n", "5"]) == 1
+        assert capsys.readouterr().err == err
     even = ["moduli", "n0", "--genus", "2", "--parity", "even"]
     assert cli.main(even + ["--order", "4"]) == 0
     capsys.readouterr()

@@ -1,15 +1,19 @@
 """Long division against a schoolbook reference, and a bound on its work.
 
 The reference below works on plain dicts and finds each bottom term by
-sorting the whole remainder, so it shares no code with ``laurent.py``.
+sorting the whole remainder, so it shares no code with ``laurent.py``.  Its
+two-symbol form divides the closed Hodge numerator as a whole, which
+``realize.hodge_closed`` does level by level in one symbol.
 """
 
 import random
 
 import pytest
 
+from motiveforge import laurent, realize
 from motiveforge.laurent import ExactDivisionError, LaurentInt
-from motiveforge.realize import BiLaurent, X, Y, hodge_closed
+from motiveforge.moduli import PipelineIntegrityError
+from motiveforge.realize import X, Y, hodge_closed
 
 # one symbol: int exponents in their own order
 ONE = dict(add=lambda m, n: m + n, sub=lambda m, n: m - n,
@@ -70,10 +74,6 @@ def _one(rng):
     return rng.randint(-4, 8)
 
 
-def _two(rng):
-    return rng.randint(0, 4), rng.randint(0, 4)
-
-
 def _random_map(rng, exponent, n_max):
     return {exponent(rng): rng.randint(-9, 9)
             for _ in range(rng.randint(0, n_max))}
@@ -92,9 +92,9 @@ def _nonzero(make):
             return p
 
 
-def _check_exact_div(cls, num_map, den_map, ring):
-    num, den = cls(num_map), cls(den_map)
-    quo, rem = reference_exact_div(dict(num.items()), dict(den.items()), ring)
+def _check_exact_div(num_map, den_map):
+    num, den = LaurentInt(num_map), LaurentInt(den_map)
+    quo, rem = reference_exact_div(dict(num.items()), dict(den.items()), ONE)
     if quo is not None:
         assert dict(num.exact_div(den).items()) == quo
     else:
@@ -109,48 +109,20 @@ def test_one_symbol_exact_div_matches_schoolbook():
         den = _nonzero(lambda: LaurentInt(_random_map(rng, _one, 4)))
         x = LaurentInt(_random_map(rng, _one, 5))
         # an exact pair, then a pair that is almost never exact
-        _check_exact_div(LaurentInt, dict((x * den).items()), dict(den.items()), ONE)
-        _check_exact_div(LaurentInt, _random_map(rng, _one, 6),
-                         dict(den.items()), ONE)
-
-
-def test_two_symbol_exact_div_matches_schoolbook():
-    rng = random.Random(202)
-    for _ in range(300):
-        den = _nonzero(lambda: BiLaurent(_random_map(rng, _two, 4)))
-        x = BiLaurent(_random_map(rng, _two, 5))
-        _check_exact_div(BiLaurent, dict((x * den).items()), dict(den.items()), TWO)
-        _check_exact_div(BiLaurent, _random_map(rng, _two, 6),
-                         dict(den.items()), TWO)
-
-
-def test_two_symbol_division_ends_on_tied_bottom_terms():
-    # x/(x + y): graded lex would emit x^k·y^-k at total degree 0 forever;
-    # the first term, y^0, already leaves the box x in [1, 0]
-    with pytest.raises(ExactDivisionError) as err:
-        X.exact_div(X + Y)
-    assert err.value.remainder == X
-    for num, den in ((X, X + Y), (X * X + Y, X - Y), (1 + X ** 3, X * Y + Y * Y)):
-        _check_exact_div(BiLaurent, dict(num.items()), dict(den.items()), TWO)
-
-
-def test_two_symbol_division_stops_at_the_total_degree_bound():
-    # every term of num has total degree 4 and those of den 5 and 7, so an
-    # exact quotient would have total degree in [-1, -3]: none.  The box on
-    # each axis alone let the step y^-1 through, leaving -8·x^4 + 4·x^3·y^3
-    num = 8 * X * Y ** 3 - 8 * X ** 4
-    den = -2 * X * Y ** 4 + X ** 3 * Y ** 4
-    with pytest.raises(ExactDivisionError) as err:
-        num.exact_div(den)
-    assert err.value.remainder == num
-    _check_exact_div(BiLaurent, dict(num.items()), dict(den.items()), TWO)
+        _check_exact_div(dict((x * den).items()), dict(den.items()))
+        _check_exact_div(_random_map(rng, _one, 6), dict(den.items()))
 
 
 def test_closed_hodge_division_matches_schoolbook():
-    num = _closed_hodge_numerator(5)
-    den = (1 - X * Y) * (1 - (X * Y) ** 2)
-    _check_exact_div(BiLaurent, dict(num.items()), dict(den.items()), TWO)
-    _check_exact_div(BiLaurent, dict((num + X).items()), dict(den.items()), TWO)
+    den = dict(((1 - X * Y) * (1 - (X * Y) ** 2)).items())
+    for g in range(2, 7):
+        num = _closed_hodge_numerator(g)
+        quo, rem = reference_exact_div(dict(num.items()), den, TWO)
+        assert not rem and dict(hodge_closed(g).items()) == quo, g
+    off = num + X
+    assert reference_exact_div(dict(off.items()), den, TWO)[0] is None
+    with pytest.raises(PipelineIntegrityError, match="not exact at genus 6"):
+        realize._divide_levels(off, 6)
 
 
 def test_series_div_matches_schoolbook():
@@ -168,27 +140,23 @@ def test_series_div_matches_schoolbook():
                 assert exact is (not rem)
 
 
-def test_division_work_is_near_linear():
-    """Dividing the closed Hodge numerator at g = 16 evaluates the bottom
-    order's key once per numerator term, once per term that enters the
-    remainder and once per divisor term; a scan of the whole remainder per
-    step would take hundreds of times more."""
-    calls = [0]
-    key = BiLaurent._EXP.bottom
+def test_division_work_is_near_linear(monkeypatch):
+    """The one-symbol divisions of ``hodge_closed(16)`` push a remainder
+    exponent on the heap once, when it first appears: at most one per other
+    divisor term for each quotient term.  Each quotient term comes from a
+    pop, and every pop is of a numerator term or a pushed one."""
+    counts = {"push": 0, "pop": 0}
 
-    def counting_key(m):
-        calls[0] += 1
-        return key(m)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    class Counted(BiLaurent):
-        __slots__ = ()
-        _EXP = BiLaurent._EXP._replace(bottom=counting_key)
-
-    num = _closed_hodge_numerator(16)
-    den = (1 - X * Y) * (1 - (X * Y) ** 2)
-    quo = Counted(dict(num.items())).exact_div(Counted(dict(den.items())))
-    assert quo.items() == hodge_closed(16).items()
-    n_num, n_den, n_quo = len(num.items()), len(den.items()), len(quo.items())
-    # each step cancels a term and adds at most one per other divisor term
-    pushed = n_quo * (n_den - 1)
-    assert calls[0] <= n_num + pushed + n_den, (calls[0], n_num, n_quo, n_den)
+    monkeypatch.setattr(laurent, "heappush", counted("push", laurent.heappush))
+    monkeypatch.setattr(laurent, "heappop", counted("pop", laurent.heappop))
+    quo = hodge_closed(16)
+    n_num = len(_closed_hodge_numerator(16).items())
+    n_den, n_quo = 4, len(quo.items())  # (1 - u)(1 - u²) = 1 - u - u² + u³
+    assert counts["push"] <= n_quo * (n_den - 1), (counts, n_quo)
+    assert n_quo <= counts["pop"] <= n_num + counts["push"], (counts, n_num)

@@ -15,7 +15,6 @@ from motiveforge import (BiLaurent, LaurentInt, MotiveClass, MotiveSeries,
                          sym_power_bruteforce, sym_power_curve,
                          sym_power_ranks, sym_power_walls)
 from motiveforge import verify
-from motiveforge.laurent import _SparseLaurent
 
 BAD = (True, 2.0, "2")
 RANKS = {0: 1, 1: 4, 2: 1}
@@ -105,7 +104,7 @@ def no_work(monkeypatch):
     for cls in (LaurentInt, BiLaurent):
         monkeypatch.setattr(cls, "__mul__", refuse)
         monkeypatch.setattr(cls, "__rmul__", refuse)
-    monkeypatch.setattr(_SparseLaurent, "_long_div", refuse)
+    monkeypatch.setattr(LaurentInt, "_long_div", refuse)
     monkeypatch.setattr(MotiveSeries, "__mul__", refuse)
 
 

@@ -122,12 +122,13 @@ def test_sym_power_ranks_rejects_bad_input():
 
 
 def test_sym_power_ranks_order_guard(monkeypatch):
-    # the rank route shares the series-order cap of the motive-level route
+    # the rank route and its brute-force oracle share the series-order cap
+    # of the motive-level route
     monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 5)
-    assert sym_power_ranks({0: 1, 2: 1}, 5) == {0: 1, 2: 1, 4: 1, 6: 1,
-                                                 8: 1, 10: 1}
-    with pytest.raises(SeriesOrderError):
-        sym_power_ranks({0: 1, 2: 1}, 6)
+    for fn in (sym_power_ranks, sym_power_bruteforce):
+        assert fn({0: 1, 2: 1}, 5) == {0: 1, 2: 1, 4: 1, 6: 1, 8: 1, 10: 1}
+        with pytest.raises(SeriesOrderError):
+            fn({0: 1, 2: 1}, 6)
 
 
 def test_bruteforce_matches_ranks():

@@ -176,8 +176,15 @@ def test_json_accepts_uncanonical_indices():
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        MotiveClass.from_json_dict({"schema": "something-else/v1"})
+    # a wrong schema, a missing or misspelled "lambda", an extra key
+    for blob in ({"schema": "something-else/v1"},
+                 {"schema": "motive-class/v1", "genus": 2},
+                 {"schema": "motive-class/v1", "genus": 3,
+                  "lamda": {"1": {"0": 5}}},
+                 {"schema": "motive-class/v1", "genus": 2,
+                  "lambda": {"0": {"0": 1}}, "extra": 0}):
+        with pytest.raises(ValueError, match="expected a motive-class/v1"):
+            MotiveClass.from_json_dict(blob)
     for key in ("x", "0_1", " 1", "1 ", "١", "¹", "", 1):
         with pytest.raises(ValueError, match="malformed lambda map"):
             MotiveClass.from_json_dict({"schema": "motive-class/v1",

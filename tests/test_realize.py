@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from motiveforge import realize
-from motiveforge.laurent import ExactDivisionError, L, LaurentInt, lpow
+from motiveforge.laurent import L, LaurentInt, lpow
 from motiveforge.moduli import kummer, n0_odd, n0_odd_closed
 from motiveforge.motive import MotiveClass
 from motiveforge.realize import (BiLaurent, X, Y, betti, hodge, hodge_closed,
@@ -26,15 +26,6 @@ def test_bilaurent_arithmetic():
     p = (1 + X ** 2 * Y) ** 2
     assert p.coeff(2, 1) == 2 and p.coeff(4, 2) == 1
     assert p.swap() == (1 + X * Y ** 2) ** 2
-
-
-def test_bilaurent_exact_div():
-    num = 1 - (X * Y) ** 3
-    assert num.exact_div(1 - X * Y) == 1 + X * Y + (X * Y) ** 2
-    with pytest.raises(ExactDivisionError):
-        (1 + X).exact_div(1 + X * Y)
-    with pytest.raises(ZeroDivisionError):
-        (1 + X).exact_div(BiLaurent())
 
 
 def test_bilaurent_specialize_diagonal():
@@ -222,11 +213,13 @@ def test_one_and_two_symbol_polynomials_never_mix():
             lhs - rhs
         with pytest.raises(TypeError):
             lhs * rhs
-        with pytest.raises(TypeError):
-            lhs.exact_div(rhs)
         assert (lhs == rhs) is False
         assert (lhs != rhs) is True
     assert (LaurentInt(1) == BiLaurent(1)) is False
+    # division is one-symbol only
+    assert not hasattr(BiLaurent, "exact_div")
+    with pytest.raises(TypeError):
+        L.exact_div(X)
     with pytest.raises(TypeError):
         MotiveClass(2, {0: BiLaurent(1)})
     with pytest.raises(TypeError):
