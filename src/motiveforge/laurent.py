@@ -15,13 +15,16 @@ not an integer Laurent polynomial; it stops once a quotient exponent passes
 max(self) - max(other), where every exact quotient ends, so it always ends.
 ``LaurentInt.series_div`` expands ``self/other`` as a power series in L up to
 a requested exponent, which only needs the divisor's bottom coefficient to be
-a unit.
+a unit.  Both run one long division: a running sum for a binomial divisor
+whose bottom coefficient is a unit (1 - L, 1 - L^k, the factors of every
+closed form), a heap of remainder exponents for any other divisor.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
@@ -267,9 +270,13 @@ class LaurentInt(_SparseLaurent):
         The bottom terms come from a heap of remainder exponents.  Each
         division step only adds terms strictly above the term it cancels,
         so an exponent is pushed once, when it first enters the remainder;
-        a cancelled one stays in the map as 0 and is skipped when popped."""
+        a cancelled one stays in the map as 0 and is skipped when popped.
+        A binomial divisor with a unit bottom coefficient takes
+        ``_binomial_div`` instead, with the same results."""
         lo = min(other._c)
         unit = other._c[lo]
+        if len(other._c) == 2 and unit in (1, -1):
+            return self._binomial_div(other, inside)
         terms = other._c.items()
         rem = dict(self._c)
         heap = list(rem)
@@ -297,6 +304,45 @@ class LaurentInt(_SparseLaurent):
                 else:
                     rem[ee] = -t * dc
                     heappush(heap, ee)
+        return self._raw(quo), {}
+
+    def _binomial_div(self, other: "LaurentInt",
+                      inside: Callable[[int], bool]):
+        """``_long_div`` by u·L^s + v·L^t, u = ±1 and s < t, as a running
+        sum: with k = t - s, the quotient term at q is
+        u·(n_(q+s) - v·q_(q-k)).
+
+        Only exponents that hold a numerator term, or lie k above a
+        quotient term, can be nonzero; they are visited in ascending order
+        by merging the sorted numerator with a queue of the quotient
+        exponents plus k, which grow in order.  So the cost is
+        O(numerator terms + quotient terms), never O(exponent span).  The
+        division stops where the heap's does: at the first nonzero term
+        whose quotient exponent fails ``inside``, leaving the remainder
+        N - Q·D, or when nothing is left to visit."""
+        (s, u), (t, v) = sorted(other._c.items())
+        k = t - s
+        num = sorted(self._c.items())
+        owed: deque = deque()  # (quotient exponent, -v·q_(that - k))
+        quo: dict = {}
+        i, n = 0, len(num)
+        while i < n or owed:
+            if i < n and (not owed or num[i][0] - s <= owed[0][0]):
+                e, c = num[i]
+                i += 1
+                qe = e - s
+                if owed and owed[0][0] == qe:
+                    c += owed.popleft()[1]
+            else:
+                qe, c = owed.popleft()
+            if not c:
+                continue
+            if not inside(qe):
+                done = self._raw(quo)
+                return done, (self - done * other)._c
+            c *= u  # c // u, as u is ±1
+            quo[qe] = c
+            owed.append((qe + k, -v * c))
         return self._raw(quo), {}
 
     def exact_div(self, other) -> "LaurentInt":

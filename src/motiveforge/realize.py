@@ -7,9 +7,9 @@ and xy.  Setting x = y = t in a Hodge realization recovers the Betti one
 (Vandermonde).  The closed Betti and Hodge expressions for the odd-degree
 moduli space are provided as independent cross-checks.
 
-Division is one-symbol (``LaurentInt.exact_div``): the closed Hodge divisor
-lies in Z[xy], which keeps each level i - j, so ``hodge_closed`` splits its
-numerator by level and divides each level in u = xy alone.
+Division is one-symbol: the closed Hodge divisor lies in Z[xy], which keeps
+each level i - j, so ``hodge_closed`` splits its numerator by level and
+divides each level in u = xy alone, by two running sums.
 """
 
 from __future__ import annotations
@@ -125,9 +125,8 @@ def hn_closed(genus: int) -> LaurentInt:
     _check_closed_genus(genus, 2)
     t = LaurentInt.monomial(1)
     num = (1 + t ** 3) ** (2 * genus) - t ** (2 * genus) * (1 + t) ** (2 * genus)
-    den = (1 - t ** 2) * (1 - t ** 4)
     try:
-        return num.exact_div(den)
+        return num.exact_div(1 - t ** 2).exact_div(1 - t ** 4)
     except ExactDivisionError as exc:
         raise PipelineIntegrityError(
             f"closed Betti division not exact at genus {genus}") from exc
@@ -144,20 +143,27 @@ def hodge_closed(genus: int) -> BiLaurent:
 
 def _divide_levels(num: BiLaurent, genus: int) -> BiLaurent:
     """num / ((1-xy)(1-x²y²)), one level k = i - j at a time: x^i·y^j is
-    x^k·u^j in u = xy, and a divisor in u keeps each level."""
-    u = LaurentInt.monomial(1)
-    den = (1 - u) * (1 - u ** 2)
+    x^k·u^j in u = xy, and a divisor in u keeps each level.
+
+    A level n is divided in one pass as two running sums: p_j = n_j +
+    p_(j-1) is n/(1-u), and q_j = p_j + q_(j-2) is that over (1-u²).  The
+    division is exact when the series ends at the level's top h minus 3,
+    that is when p_h, q_h and q_(h-1) are zero."""
     levels: dict[int, dict[int, int]] = {}
     for (i, j), c in num._c.items():
         levels.setdefault(i - j, {})[j] = c
     out = {}
-    try:
-        for k, terms in levels.items():
-            for j, c in LaurentInt._raw(terms).exact_div(den)._c.items():
-                out[j + k, j] = c
-    except ExactDivisionError as exc:
-        raise PipelineIntegrityError(
-            f"closed Hodge division not exact at genus {genus}") from exc
+    for k, terms in levels.items():
+        hi = max(terms)
+        p = q = q_prev = 0  # p_(j-1), q_(j-1), q_(j-2)
+        for j in range(min(terms), hi + 1):
+            p += terms.get(j, 0)
+            q, q_prev = p + q_prev, q
+            if q and j <= hi - 3:
+                out[j + k, j] = q
+        if p or q or q_prev:
+            raise PipelineIntegrityError(
+                f"closed Hodge division not exact at genus {genus}")
     return BiLaurent._raw(out)
 
 

@@ -6,12 +6,13 @@ two-symbol form divides the closed Hodge numerator as a whole, which
 ``realize.hodge_closed`` does level by level in one symbol.
 """
 
+import heapq
 import random
 
 import pytest
 
 from motiveforge import laurent, realize
-from motiveforge.laurent import ExactDivisionError, LaurentInt
+from motiveforge.laurent import ExactDivisionError, L, LaurentInt
 from motiveforge.moduli import PipelineIntegrityError
 from motiveforge.realize import X, Y, hodge_closed
 
@@ -140,23 +141,106 @@ def test_series_div_matches_schoolbook():
                 assert exact is (not rem)
 
 
-def test_division_work_is_near_linear(monkeypatch):
-    """The one-symbol divisions of ``hodge_closed(16)`` push a remainder
-    exponent on the heap once, when it first appears: at most one per other
-    divisor term for each quotient term.  Each quotient term comes from a
-    pop, and every pop is of a numerator term or a pushed one."""
-    counts = {"push": 0, "pop": 0}
+def _binomial(rng, u, v):
+    s = rng.choice((-5, -2, -1, 0, 3, 6))
+    return LaurentInt({s: u, s + rng.randint(1, 6): v})
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
 
-    monkeypatch.setattr(laurent, "heappush", counted("push", laurent.heappush))
-    monkeypatch.setattr(laurent, "heappop", counted("pop", laurent.heappop))
-    quo = hodge_closed(16)
-    n_num = len(_closed_hodge_numerator(16).items())
-    n_den, n_quo = 4, len(quo.items())  # (1 - u)(1 - u²) = 1 - u - u² + u³
-    assert counts["push"] <= n_quo * (n_den - 1), (counts, n_quo)
-    assert n_quo <= counts["pop"] <= n_num + counts["push"], (counts, n_num)
+def _check_long_div(num, den, inside):
+    """``_long_div``'s quotient and remainder, and ``exact_div``'s quotient
+    or remainder, against the schoolbook."""
+    quo, rem = schoolbook(dict(num.items()), dict(den.items()), inside, ONE)
+    try:
+        got, left = num._long_div(den, inside)
+    except ExactDivisionError as err:  # a bottom term the unit cannot divide
+        assert dict(err.remainder.items()) == rem, (num, den)
+    else:
+        assert (dict(got.items()), left) == (quo, rem), (num, den)
+    _check_exact_div(dict(num.items()), dict(den.items()))
+
+
+def test_binomial_division_matches_schoolbook():
+    """u·L^s + v·L^t with u, v = ±1 divides by a running sum; exact,
+    non-exact and zero numerators, with negative and nonzero s."""
+    rng = random.Random(404)
+    for u, v in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for _ in range(60):
+            den = _binomial(rng, u, v)
+            x = LaurentInt(_random_map(rng, _one, 5))
+            for num in (x * den, LaurentInt(_random_map(rng, _one, 6)),
+                        LaurentInt()):
+                for order in (0, 3, 7, 15):
+                    _check_long_div(num, den, order.__ge__)
+                    quo, rem = schoolbook(dict(num.items()), dict(den.items()),
+                                          order.__ge__, ONE)
+                    got, exact = num.series_div(den, order)
+                    assert (dict(got.items()), exact) == (quo, not rem)
+                if num:
+                    _check_long_div(num, den,
+                                    (num.max_exp - den.max_exp).__ge__)
+
+
+def test_only_unit_binomials_skip_the_heap(monkeypatch):
+    pops = []
+    monkeypatch.setattr(laurent, "heappop",
+                        lambda heap: pops.append(1) or heapq.heappop(heap))
+    rng = random.Random(505)
+    cases = [(_binomial(rng, u, v), True)
+             for u in (1, -1) for v in (1, -1, 3) for _ in range(5)]
+    cases += [(2 - 2 * L, False), (3 + 3 * L ** 2, False),
+              (1 - L - L ** 2, False)]
+    for den, running in cases:
+        for num in (den * (1 + 2 * L ** 3 - L ** 5), 7 * L ** 4 + L):
+            del pops[:]
+            _check_long_div(num, den, (num.max_exp - den.max_exp).__ge__)
+            _check_long_div(num, den, (5).__ge__)
+            assert (not pops) is running, den
+
+
+def test_sparse_binomial_division_is_immediate():
+    # a walk over the exponents would take seconds: 5·10^7 of them
+    k = 10 ** 7
+    unit = 1 - L ** k
+    assert (unit * (1 + L ** (5 * k))).exact_div(unit) == 1 + L ** (5 * k)
+    quo, exact = (unit * (1 - L ** (5 * k))).series_div(unit, 5 * k)
+    assert exact and quo == 1 - L ** (5 * k)
+    with pytest.raises(ExactDivisionError) as err:
+        (1 + L ** (5 * k)).exact_div(unit)
+    assert err.value.remainder == 1 + L ** (5 * k) - (1 - L ** (5 * k))
+
+
+class _Counted(int):
+    """An int that counts the sums, differences and products made with it,
+    so that a division over such coefficients reports its work."""
+
+    ops = 0
+
+    def _op(fn):
+        def op(self, other):
+            _Counted.ops += 1
+            return _Counted(fn(int(self), int(other)))
+        return op
+
+    __add__ = _op(lambda a, b: a + b)
+    __radd__ = _op(lambda a, b: b + a)
+    __sub__ = _op(lambda a, b: a - b)
+    __rsub__ = _op(lambda a, b: b - a)
+    __mul__ = _op(lambda a, b: a * b)
+    __rmul__ = _op(lambda a, b: b * a)
+    del _op
+
+    def __neg__(self):
+        return _Counted(-int(self))
+
+
+def test_division_work_is_near_linear():
+    """The level division of ``hodge_closed(16)`` makes at most four
+    coefficient operations per numerator or quotient term, and at least one
+    per numerator term."""
+    num = _closed_hodge_numerator(16)
+    counted = realize.BiLaurent._raw({m: _Counted(c) for m, c in num.items()})
+    _Counted.ops = 0
+    quo = realize._divide_levels(counted, 16)
+    assert quo == hodge_closed(16)
+    n_num, n_quo = len(num.items()), len(quo.items())
+    assert n_num <= _Counted.ops <= 4 * (n_num + n_quo), (_Counted.ops, n_num)

@@ -109,10 +109,10 @@ def test_n0_odd_weight_two_part():
 
 
 def test_telescoped_chain_matches_flip_terms():
-    # one division by 1 - L against one range_sum per wall
-    for g in range(2, 6):
+    # one running-sum division by 1 - L against one range_sum per wall
+    for g in range(2, 8):
         walls = [sym_power_curve(g, j) for j in range(2 * g + 1)]
-        for d in range(2, 4 * g + 1):
+        for d in range(1, 4 * g + 1):
             for i in range(omega_index(d) + 1):
                 per_wall = MotiveClass.zero(g)
                 for j in range(i + 1):
@@ -150,7 +150,7 @@ def test_ss_preimage_g2():
 
 def test_ss_preimage_via_jacobian_bundle():
     # P^(2g-2) times P^(g-1) over the jacobian, no symmetric-power kernel
-    for g in (2, 3):
+    for g in range(2, 21):
         direct = (lambda_binomial(0, 0, g) * range_sum(0, g - 1)
                   * range_sum(0, 2 * g - 2))
         assert ss_preimage(g) == direct, g
@@ -166,6 +166,18 @@ def test_n0_even_stable_g2_nonterminating():
     flags = rep.stage("stable_division_exact").value
     assert flags == {0: False, 1: False, 2: False}
     assert cls.weight_part(0) == MotiveClass.one(2)
+
+
+def test_n0_even_stable_is_the_series_quotient_by_the_fibration():
+    # the pipeline divides m_omega_s·(1 - L) by 1 - L^(2g); the oracle
+    # divides m_omega_s by [P^(2g-1)] itself
+    for g in range(2, 7):
+        for order in (0, 5, 40, 8 * g):
+            rep = n0_even(g, order)
+            quo, flags = rep.stage("m_omega_s").value.series_div(
+                range_sum(0, 2 * g - 1), order)
+            assert rep.stage("n0_even_stable").value == quo, (g, order)
+            assert rep.stage("stable_division_exact").value == flags, (g, order)
 
 
 def test_n0_even_stable_contract_when_exact():
