@@ -2,10 +2,13 @@
 
 Three routes, deliberately independent of each other:
 
-* ``sym_power_curve`` works at motive level for a genus-g curve, extracting
-  the T^n coefficient of the MacDonald kernel (1+T)^(h¹C)/((1-T)(1-LT)) from
-  one Cauchy product: the binomial series (1+T)^(h¹C) times the projective
-  series 1/((1-T)(1-LT)), whose T^k coefficient is the class of P^k.
+* ``sym_power_curve`` works at motive level for a genus-g curve.  Below g
+  it extracts the T^n coefficient of the MacDonald kernel
+  (1+T)^(h¹C)/((1-T)(1-LT)) from one Cauchy product: the binomial series
+  (1+T)^(h¹C) times the projective series 1/((1-T)(1-LT)), whose T^k
+  coefficient is the class of P^k.  From g on it takes S_n by Riemann–Roch,
+  S_n = L^(n-g+1)·S_(2g-2-n) + J·[P^(n-g)], from one power below g (none
+  from n = 2g-1 on).
 * ``sym_power_ranks`` works at rank level for an arbitrary graded object,
   multiplying the classical product kernel with binomial coefficients.
 * ``sym_power_bruteforce`` counts invariants directly: multisets of n basis
@@ -13,17 +16,16 @@ Three routes, deliberately independent of each other:
   without bound, tallied by total degree.  No closed formula enters, so it
   serves as the oracle for the other two.
 
-``sym_power_walls`` is not a fourth route: it reduces the powers S_n with
-n >= g to those below g by Riemann–Roch, and takes those from
-``sym_power_curve``.
+``sym_power_walls`` is not a fourth route: it lists S_0, ..., S_top for a
+flip chain, the powers from g on by the same Riemann–Roch builder.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentInt, _check_int, range_sum
-from .motive import MotiveClass, lambda_binomial
+from .laurent import LaurentInt, _check_int
+from .motive import MotiveClass
 from .series import _check_order, binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
@@ -40,11 +42,45 @@ def curve_ranks(genus: int) -> dict[int, int]:
     return {0: 1, 1: 2 * genus, 2: 1}
 
 
+def _rr_wall(genus: int, n: int, below: MotiveClass | None) -> MotiveClass:
+    """S_n for n >= g by Riemann–Roch: J·[P^(n-g)] + L^(n-g+1)·below, where
+    below is S_(2g-2-n), or None from n = 2g-1 on.
+
+    With m = n - g, folding λ_(2g-a) = λ_a·L^(g-a) places J·[P^m] as a 1
+    on each of the exponents 0..m and g-a..g-a+m of λ_a for a < g (the two
+    runs overlap once m >= g - a), and on 0..m of λ_g.  Every coefficient
+    of below is effective, so adding it cancels nothing and the map stays
+    canonical.
+    """
+    g, m = genus, n - genus
+    lam = {}
+    for a in range(g + 1):
+        acc = dict.fromkeys(range(m + 1), 1)
+        if a < g:
+            for e in range(g - a, g - a + m + 1):
+                acc[e] = acc.get(e, 0) + 1
+        lam[a] = acc
+    if below is not None:
+        for a, p in below.components().items():
+            acc = lam[a]
+            for e, c in p._c.items():
+                acc[e + m + 1] = acc.get(e + m + 1, 0) + c
+    return MotiveClass._raw(g, {a: LaurentInt._raw(acc)
+                                for a, acc in lam.items()})
+
+
 def sym_power_curve(genus: int, n: int) -> MotiveClass:
-    """Class of the n-th symmetric product of a genus-g curve."""
+    """Class of the n-th symmetric product of a genus-g curve: one kernel
+    product of order n below g, and from g on S_n by Riemann–Roch from
+    S_(2g-2-n) (see ``sym_power_walls``), without a series."""
     _check_int(genus, "genus", 1)
     _check_int(n, "symmetric power index", 0)
-    return (binomial_series(genus, n) * projective_series(genus, n))[n]
+    _check_order(n)
+    if n < genus:
+        return (binomial_series(genus, n) * projective_series(genus, n))[n]
+    mirror = 2 * genus - 2 - n
+    return _rr_wall(genus, n,
+                    sym_power_curve(genus, mirror) if mirror >= 0 else None)
 
 
 def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
@@ -68,13 +104,9 @@ def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
     _check_int(top, "symmetric power index", 0)
     _check_order(top)
     walls = [sym_power_curve(genus, n) for n in range(min(top + 1, genus))]
-    jac = lambda_binomial(0, 0, genus)
     for n in range(genus, top + 1):
-        wall = jac * range_sum(0, n - genus)
-        if n <= 2 * genus - 2:
-            wall = (wall + walls[2 * genus - 2 - n]
-                    * LaurentInt.monomial(n - genus + 1))
-        walls.append(wall)
+        mirror = 2 * genus - 2 - n
+        walls.append(_rr_wall(genus, n, walls[mirror] if mirror >= 0 else None))
     return walls
 
 

@@ -302,9 +302,32 @@ class PipelineReport:
                 if key not in ("name", "kind")]
 
 
-def _weight_match(lhs: MotiveClass, rhs: MotiveClass) -> dict[int, bool]:
-    bad = set((lhs - rhs).weights())
-    return {m: m not in bad for m in sorted({*lhs.weights(), *rhs.weights()})}
+def _lam_sum(*parts) -> dict[int, dict[int, int]]:
+    """Σ X·t over the (X, t) parts as one {λ-index: {exponent: coeff}} map:
+    X a canonical map of that shape, t a Tate polynomial {exponent: coeff}.
+    Zero entries may remain."""
+    out: dict[int, dict[int, int]] = {}
+    for lam, tate in parts:
+        for a, p in lam.items():
+            acc = out.setdefault(a, {})
+            for e, c in p.items():
+                for k, t in tate.items():
+                    acc[e + k] = acc.get(e + k, 0) + c * t
+    return out
+
+
+def _lam_match(lhs: dict, rhs: dict) -> dict[int, bool]:
+    """Per weight a + 2e of a nonzero term λ_a·L^e of either map: whether
+    the two maps agree on every term of that weight."""
+    match: dict[int, bool] = {}
+    for a in lhs.keys() | rhs.keys():
+        x_map, y_map = lhs.get(a, {}), rhs.get(a, {})
+        for e in x_map.keys() | y_map.keys():
+            x, y = x_map.get(e, 0), y_map.get(e, 0)
+            if x or y:
+                m = a + 2 * e
+                match[m] = match.get(m, True) and x == y
+    return dict(sorted(match.items()))
 
 
 def n0_even(genus: int, order: int | None = None) -> PipelineReport:
@@ -344,22 +367,30 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     delta = total.truncate_below(cut) - odd.truncate_below(cut)
     diffs = {m: delta.weight_part(m) for m in delta.weights()}
 
-    b01 = lambda_binomial(0, 1, genus)
-    b00 = lambda_binomial(0, 0, genus)
-    den = (1 - lef) ** 2 * (1 - lef ** 2)
-    # displayed closed form for the last even pair space, cross-multiplied
-    mo_rhs = (b01 * (1 - lef ** (2 * genus))
-              - b00 * (LaurentInt.monomial(genus + 1)
-                       * (1 + lef ** genus)
-                       * (1 + LaurentInt.monomial(genus - 2))))
-    mo_match = _weight_match(mo * den, mo_rhs)
-    # displayed closed form for the stable-locus quotient, cross-multiplied
-    kernel = (lef * (1 + lef ** genus) * (1 + LaurentInt.monomial(genus - 2))
-              + LaurentInt.monomial(-1) * (1 - lef ** genus)
-              * (1 - lef ** (2 * genus - 1)) * (1 - lef ** 2))
-    stable_rhs = (b01 * (1 - lef ** (2 * genus))
-                  - b00 * (LaurentInt.monomial(genus) * kernel))
-    stable_match = _weight_match(mos * den, stable_rhs)
+    # the two displayed closed forms, cross-multiplied by
+    # (1-L)²(1-L²) = 1 - 2L + 2L³ - L⁴ and compared as coefficient maps per
+    # λ-index, not as classes.  Folded by λ_(2g-a) = λ_a·L^(g-a),
+    # (1+L)^(h¹) = Σ_a λ_a·L^a carries L^a and L^(3g-2a) on each λ_a with
+    # a < g, and J = Σ_a λ_a carries 1 and L^(g-a)
+    g = genus
+    b01 = {a: {a: 1, 3 * g - 2 * a: 1} for a in range(g)} | {g: {g: 1}}
+    b00 = {a: {0: 1, g - a: 1} for a in range(g)} | {g: {0: 1}}
+    den = {0: 1, 1: -2, 3: 2, 4: -1}
+    head = (b01, {0: 1, 2 * g: -1})  # b01·(1 - L^(2g))
+    # for the last even pair space
+    mo_tail = -(LaurentInt.monomial(g + 1) * (1 + lef ** g)
+                * (1 + LaurentInt.monomial(g - 2)))
+    mo_match = _lam_match(
+        _lam_sum(({a: p._c for a, p in mo.components().items()}, den)),
+        _lam_sum(head, (b00, mo_tail._c)))
+    # for the stable-locus quotient
+    kernel = (lef * (1 + lef ** g) * (1 + LaurentInt.monomial(g - 2))
+              + LaurentInt.monomial(-1) * (1 - lef ** g)
+              * (1 - lef ** (2 * g - 1)) * (1 - lef ** 2))
+    stable_tail = -LaurentInt.monomial(g) * kernel
+    stable_match = _lam_match(
+        _lam_sum(({a: p._c for a, p in mos.components().items()}, den)),
+        _lam_sum(head, (b00, stable_tail._c)))
 
     stages = (
         Stage("m_omega", "class", mo),

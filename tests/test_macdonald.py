@@ -54,8 +54,16 @@ def test_sym_power_curve_multiplies_series_once(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(MotiveSeries, "__mul__", counting_mul)
-    sym_power_curve(9, 16)
-    assert calls == [16]
+    g = 9
+    for n in range(2 * g + 2):
+        calls.clear()
+        sym_power_curve(g, n)
+        if n < g:
+            assert calls == [n], n
+        elif n <= 2 * g - 2:  # Riemann–Roch from S_(2g-2-n)
+            assert calls == [2 * g - 2 - n], n
+        else:  # a projective bundle over the jacobian
+            assert calls == [], n
 
 
 def test_sym_power_curve_validates():
@@ -67,10 +75,13 @@ def test_sym_power_curve_validates():
 
 def test_sym_power_walls_match_series_route():
     # from g on the walls come by Riemann–Roch, S_(2g-1) on being the
-    # projective bundles over the jacobian; the series route is the oracle
+    # projective bundles over the jacobian; the kernel product, which
+    # shares no code with the Riemann–Roch builder, is the oracle
     for g in range(1, 9):
         top = 2 * g + 2
-        series_route = [sym_power_curve(g, n) for n in range(top + 1)]
+        two = (binomial_series(g, top) * geometric(0, g, top)
+               * geometric(1, g, top))
+        series_route = [two[n] for n in range(top + 1)]
         assert sym_power_walls(g, top) == series_route, g
         for short in (0, g - 1, g, 2 * g - 2):
             if short >= 0:
@@ -101,6 +112,9 @@ def test_sym_power_walls_validate(monkeypatch):
     assert len(sym_power_walls(2, 5)) == 6
     with pytest.raises(SeriesOrderError):
         sym_power_walls(2, 6)
+    # the Riemann–Roch path builds no series, and is guarded all the same
+    with pytest.raises(SeriesOrderError):
+        sym_power_curve(2, 6)
 
 
 def test_sym_power_ranks_curve_square():
