@@ -131,7 +131,7 @@ class _SparseLaurent:
     def _coerce(self, value):
         if isinstance(value, type(self)):
             return value
-        if isinstance(value, int):
+        if type(value) is int:  # bools are refused, as in the constructor
             return self._raw({self._EXP.zero: value} if value else {})
         return NotImplemented
 
@@ -417,6 +417,8 @@ def range_sum(lo: int, hi: int) -> LaurentInt:
     chain subtract cells, and the telescoped value is what keeps the chain
     consistent with the closed form.
     """
+    _check_int(lo, "lower exponent")
+    _check_int(hi, "upper exponent")
     if hi >= lo:
         return LaurentInt({e: 1 for e in range(lo, hi + 1)})
     if hi == lo - 1:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentInt, _check_int
-from .motive import MotiveClass
+from .laurent import LaurentInt, _check_int, range_sum
+from .motive import MotiveClass, _folded_binomial, _tate_combination
 from .series import _check_order, binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
@@ -42,31 +42,16 @@ def curve_ranks(genus: int) -> dict[int, int]:
     return {0: 1, 1: 2 * genus, 2: 1}
 
 
-def _rr_wall(genus: int, n: int, below: MotiveClass | None) -> MotiveClass:
-    """S_n for n >= g by Riemann–Roch: J·[P^(n-g)] + L^(n-g+1)·below, where
-    below is S_(2g-2-n), or None from n = 2g-1 on.
-
-    With m = n - g, folding λ_(2g-a) = λ_a·L^(g-a) places J·[P^m] as a 1
-    on each of the exponents 0..m and g-a..g-a+m of λ_a for a < g (the two
-    runs overlap once m >= g - a), and on 0..m of λ_g.  Every coefficient
-    of below is effective, so adding it cancels nothing and the map stays
-    canonical.
-    """
-    g, m = genus, n - genus
-    lam = {}
-    for a in range(g + 1):
-        acc = dict.fromkeys(range(m + 1), 1)
-        if a < g:
-            for e in range(g - a, g - a + m + 1):
-                acc[e] = acc.get(e, 0) + 1
-        lam[a] = acc
+def _rr_wall(genus: int, n: int, jac: MotiveClass,
+             below: MotiveClass | None) -> MotiveClass:
+    """S_n for n >= g by Riemann–Roch: the parts (J, [P^(n-g)]) and
+    (S_(2g-2-n), L^(n-g+1)), with jac the Jacobian class J and below the
+    class S_(2g-2-n), or None from n = 2g-1 on."""
+    m = n - genus
+    parts = [(jac, range_sum(0, m))]
     if below is not None:
-        for a, p in below.components().items():
-            acc = lam[a]
-            for e, c in p._c.items():
-                acc[e + m + 1] = acc.get(e + m + 1, 0) + c
-    return MotiveClass._raw(g, {a: LaurentInt._raw(acc)
-                                for a, acc in lam.items()})
+        parts.append((below, LaurentInt.monomial(m + 1)))
+    return _tate_combination(genus, parts)
 
 
 def sym_power_curve(genus: int, n: int) -> MotiveClass:
@@ -79,7 +64,7 @@ def sym_power_curve(genus: int, n: int) -> MotiveClass:
     if n < genus:
         return (binomial_series(genus, n) * projective_series(genus, n))[n]
     mirror = 2 * genus - 2 - n
-    return _rr_wall(genus, n,
+    return _rr_wall(genus, n, _folded_binomial(0, 0, genus),
                     sym_power_curve(genus, mirror) if mirror >= 0 else None)
 
 
@@ -104,9 +89,11 @@ def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
     _check_int(top, "symmetric power index", 0)
     _check_order(top)
     walls = [sym_power_curve(genus, n) for n in range(min(top + 1, genus))]
+    jac = _folded_binomial(0, 0, genus)
     for n in range(genus, top + 1):
         mirror = 2 * genus - 2 - n
-        walls.append(_rr_wall(genus, n, walls[mirror] if mirror >= 0 else None))
+        walls.append(_rr_wall(genus, n, jac,
+                              walls[mirror] if mirror >= 0 else None))
     return walls
 
 

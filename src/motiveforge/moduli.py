@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentInt, _check_int, range_sum
-from .motive import MotiveClass, lambda_binomial
+from .motive import (MotiveClass, _folded_binomial, _tate_combination,
+                     _weight_match)
 from .macdonald import sym_power_curve, sym_power_walls
 from .series import _check_order
 
@@ -99,29 +100,15 @@ def _chain(genus: int, d: int, walls: list[MotiveClass]) -> MotiveClass:
     symmetric powers walls[j] = S_j: P^(d+g-2) plus one flip term per wall.
 
     The flip term of wall j is S_j·range_sum(j, d+g-2-2j), and range_sum is
-    (L^lo - L^(hi+1))/(1 - L).  One pass sums the numerators
-    S_j·(L^j - L^(d+g-1-2j)) into one {exponent: coefficient} map per
-    λ-index; each map is divided once by 1 - L, a running sum.  The walls
-    are canonical, and neither the sums nor the division move a λ-index, so
-    the result is canonical too.
+    (L^lo - L^(hi+1))/(1 - L): one combination of the parts
+    (S_j, L^j - L^(d+g-1-2j)), a zero factor where the shifts coincide,
+    divided once by 1 - L.
     """
     top = d + genus - 1
-    sums: dict[int, dict[int, int]] = {}
-    for j, sym in enumerate(walls):
-        down = top - 2 * j
-        for a, p in sym.components().items():
-            acc = sums.setdefault(a, {})
-            for e, c in p._c.items():
-                acc[e + j] = acc.get(e + j, 0) + c
-                acc[e + down] = acc.get(e + down, 0) - c
-    one_minus_l = 1 - LaurentInt.monomial(1)
-    out = {}
-    for a, acc in sorted(sums.items()):
-        quo = LaurentInt._raw({e: c for e, c in acc.items() if c}).exact_div(
-            one_minus_l)
-        if quo:
-            out[a] = quo
-    return MotiveClass._raw(genus, out)
+    parts = [(sym, LaurentInt.monomial(j) - LaurentInt.monomial(top - 2 * j))
+             for j, sym in enumerate(walls)]
+    return _tate_combination(genus, parts).exact_div(
+        1 - LaurentInt.monomial(1))
 
 
 def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
@@ -150,15 +137,17 @@ def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
     # [P^m] = (1 - L^(m+1))/(1 - L): a product by 1 - L, then one division
     # by a binomial
     lef = LaurentInt.monomial(1)
-    return (last * (1 - lef)).exact_div(1 - lef ** (degree - 2 * genus + 2))
+    return _tate_combination(genus, [(last, 1 - lef)]).exact_div(
+        1 - lef ** (degree - 2 * genus + 2))
 
 
 def n0_odd_closed(genus: int) -> MotiveClass:
     """Odd-determinant moduli class from the closed binomial expression:
     ((1 + L)^(h¹) - L^g (1 + 1)^(h¹)) / ((1-L)(1-L²))."""
     _check_closed_genus(genus, 2)
-    num = (lambda_binomial(0, 1, genus)
-           - lambda_binomial(0, 0, genus) * LaurentInt.monomial(genus))
+    num = _tate_combination(genus, [
+        (_folded_binomial(0, 1, genus), LaurentInt(1)),
+        (_folded_binomial(0, 0, genus), -LaurentInt.monomial(genus))])
     return (num.exact_div(1 - LaurentInt.monomial(1))
             .exact_div(1 - LaurentInt.monomial(2)))
 
@@ -197,24 +186,13 @@ def kummer(genus: int) -> MotiveClass:
 def ss_preimage(genus: int) -> MotiveClass:
     """Class of the preimage of the singular locus in the last pair space of
     the even chain: a P^(2g-2)-bundle over the (2g-1)-st symmetric product,
-    itself a P^(g-1)-bundle over the Jacobian (``sym_power_walls``).
-
-    That is J·T with J = Σ_a λ_a the Jacobian and T = [P^(g-1)]·[P^(2g-2)],
-    a trapezoid: its L^e coefficient is min(e, g-1, 3g-3-e) + 1.  Folding
-    λ_(2g-a) = λ_a·L^(g-a) places T·(1 + L^(g-a)) on λ_a for a < g and T on
-    λ_g."""
+    itself a P^(g-1)-bundle over the Jacobian (``sym_power_walls``).  So it
+    is J·([P^(g-1)]·[P^(2g-2)]), with J = Σ_a λ_a the Jacobian."""
     _check_int(genus, "genus", 2)
     _check_order(2 * genus - 1)
-    g = genus
-    trap = {e: min(e, g - 1, 3 * g - 3 - e) + 1 for e in range(3 * g - 2)}
-    lam = {}
-    for a in range(g):
-        placed = dict(trap)
-        for e, c in trap.items():
-            placed[e + g - a] = placed.get(e + g - a, 0) + c
-        lam[a] = LaurentInt._raw(placed)
-    lam[g] = LaurentInt._raw(trap)
-    return MotiveClass._raw(g, lam)
+    return _tate_combination(genus, [
+        (_folded_binomial(0, 0, genus),
+         range_sum(0, genus - 1) * range_sum(0, 2 * genus - 2))])
 
 
 @dataclass(frozen=True)
@@ -302,34 +280,6 @@ class PipelineReport:
                 if key not in ("name", "kind")]
 
 
-def _lam_sum(*parts) -> dict[int, dict[int, int]]:
-    """Σ X·t over the (X, t) parts as one {λ-index: {exponent: coeff}} map:
-    X a canonical map of that shape, t a Tate polynomial {exponent: coeff}.
-    Zero entries may remain."""
-    out: dict[int, dict[int, int]] = {}
-    for lam, tate in parts:
-        for a, p in lam.items():
-            acc = out.setdefault(a, {})
-            for e, c in p.items():
-                for k, t in tate.items():
-                    acc[e + k] = acc.get(e + k, 0) + c * t
-    return out
-
-
-def _lam_match(lhs: dict, rhs: dict) -> dict[int, bool]:
-    """Per weight a + 2e of a nonzero term λ_a·L^e of either map: whether
-    the two maps agree on every term of that weight."""
-    match: dict[int, bool] = {}
-    for a in lhs.keys() | rhs.keys():
-        x_map, y_map = lhs.get(a, {}), rhs.get(a, {})
-        for e in x_map.keys() | y_map.keys():
-            x, y = x_map.get(e, 0), y_map.get(e, 0)
-            if x or y:
-                m = a + 2 * e
-                match[m] = match.get(m, True) and x == y
-    return dict(sorted(match.items()))
-
-
 def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     """Run the even-determinant pipeline and assemble the full report.
 
@@ -351,46 +301,44 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     _check_order(order)
     d = 4 * genus - 2
     _check_chain(genus, d, 2 * genus - 1)
-    lef = LaurentInt.monomial(1)
+    one, lef = LaurentInt(1), LaurentInt.monomial(1)
 
     mo = _chain(genus, d, sym_power_walls(genus, 2 * genus - 2))
     odd = n0_odd(genus)
     ss = ss_preimage(genus)
-    mos = mo - ss * LaurentInt.monomial(genus - 1)
+    mos = _tate_combination(genus, [(mo, one), (ss, -lef ** (genus - 1))])
     # [P^(2g-1)] = (1 - L^(2g))/(1 - L): the same truncated series and
     # flags, as the remainder only gains the unit factor 1 - L
-    stable, flags = (mos * (1 - lef)).series_div(1 - lef ** (2 * genus), order)
+    stable, flags = _tate_combination(genus, [(mos, 1 - lef)]).series_div(
+        1 - lef ** (2 * genus), order)
     kum_twisted = kummer(genus) * LaurentInt.monomial(2 * genus - 3)
-    total = stable + kum_twisted
+    total = _tate_combination(genus, [(stable, one), (kum_twisted, one)])
 
     cut = 2 * genus - 2
-    delta = total.truncate_below(cut) - odd.truncate_below(cut)
+    delta = _tate_combination(genus, [(total.truncate_below(cut), one),
+                                      (odd.truncate_below(cut), -one)])
     diffs = {m: delta.weight_part(m) for m in delta.weights()}
 
     # the two displayed closed forms, cross-multiplied by
-    # (1-L)²(1-L²) = 1 - 2L + 2L³ - L⁴ and compared as coefficient maps per
-    # λ-index, not as classes.  Folded by λ_(2g-a) = λ_a·L^(g-a),
-    # (1+L)^(h¹) = Σ_a λ_a·L^a carries L^a and L^(3g-2a) on each λ_a with
-    # a < g, and J = Σ_a λ_a carries 1 and L^(g-a)
+    # (1-L)²(1-L²) = 1 - 2L + 2L³ - L⁴ and compared weight by weight:
+    # (1+L)^(h¹) and J = (1+1)^(h¹) are ``_folded_binomial`` classes
     g = genus
-    b01 = {a: {a: 1, 3 * g - 2 * a: 1} for a in range(g)} | {g: {g: 1}}
-    b00 = {a: {0: 1, g - a: 1} for a in range(g)} | {g: {0: 1}}
-    den = {0: 1, 1: -2, 3: 2, 4: -1}
-    head = (b01, {0: 1, 2 * g: -1})  # b01·(1 - L^(2g))
+    den = LaurentInt({0: 1, 1: -2, 3: 2, 4: -1})
+    head = (_folded_binomial(0, 1, g), 1 - lef ** (2 * g))
+    jac = _folded_binomial(0, 0, g)
     # for the last even pair space
     mo_tail = -(LaurentInt.monomial(g + 1) * (1 + lef ** g)
                 * (1 + LaurentInt.monomial(g - 2)))
-    mo_match = _lam_match(
-        _lam_sum(({a: p._c for a, p in mo.components().items()}, den)),
-        _lam_sum(head, (b00, mo_tail._c)))
+    mo_match = _weight_match(_tate_combination(g, [(mo, den)]),
+                             _tate_combination(g, [head, (jac, mo_tail)]))
     # for the stable-locus quotient
     kernel = (lef * (1 + lef ** g) * (1 + LaurentInt.monomial(g - 2))
               + LaurentInt.monomial(-1) * (1 - lef ** g)
               * (1 - lef ** (2 * g - 1)) * (1 - lef ** 2))
     stable_tail = -LaurentInt.monomial(g) * kernel
-    stable_match = _lam_match(
-        _lam_sum(({a: p._c for a, p in mos.components().items()}, den)),
-        _lam_sum(head, (b00, stable_tail._c)))
+    stable_match = _weight_match(
+        _tate_combination(g, [(mos, den)]),
+        _tate_combination(g, [head, (jac, stable_tail)]))
 
     stages = (
         Stage("m_omega", "class", mo),

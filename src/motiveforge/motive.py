@@ -5,7 +5,9 @@ A class is a genus-tagged sparse map {a: LaurentInt} representing
 ``sum_a [Λ^a h¹C] · p_a(L)``.  Indices are reduced to the canonical range
 0..g with the Jacobian duality rewrite ``λ_a = λ_{2g-a} · L^{a-g}`` for a > g,
 so equality of classes is equality of the stored maps.  The term λ_a·L^b is
-homogeneous of weight a + 2b and has rank C(2g, a).
+homogeneous of weight a + 2b and has rank C(2g, a).  The pipelines read no
+stored map: they build their sums with ``_tate_combination`` and their
+binomials with ``_folded_binomial``.
 
 Only the module structure over Z[L, L^-1] is provided.  Products λ_a·λ_b are
 deliberately absent (they would need plethysm data none of the pipelines use);
@@ -172,6 +174,7 @@ class MotiveClass:
 
     def twist(self, n: int) -> "MotiveClass":
         """Tate twist by (n): multiply by L^(-n), shifting weights by -2n."""
+        _check_int(n, "twist")
         return self * LaurentInt.monomial(-n)
 
     def dual(self) -> "MotiveClass":
@@ -212,6 +215,7 @@ class MotiveClass:
 
     def truncate_below(self, m: int) -> "MotiveClass":
         """Keep the weight parts strictly below m."""
+        _check_int(m, "weight")
         out = {}
         for a, p in self._lam.items():
             picked = {e: c for e, c in p.items() if a + 2 * e < m}
@@ -231,7 +235,7 @@ class MotiveClass:
                 raise ExactDivisionError(
                     f"non-exact division in λ{a} component: {exc}",
                     remainder=exc.remainder, lam=a) from None
-        return MotiveClass(self._g, out)
+        return MotiveClass._raw(self._g, out)
 
     def series_div(self, p, order: int) -> tuple["MotiveClass", dict[int, bool]]:
         """Divide componentwise as a series in L up to the given exponent.
@@ -302,7 +306,65 @@ def lambda_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:
     arguments is NOT symmetric; instead the two orders are related by
     ``(A+B)^M = L^-g · (B·L + A)^M``.
     """
+    _check_int(exp_a, "exponent of A")
+    _check_int(exp_b, "exponent of B")
     _check_int(genus, "genus", 1)
     raw = {a: LaurentInt.monomial(exp_a * (2 * genus - a) + exp_b * a)
            for a in range(2 * genus + 1)}
     return MotiveClass(genus, raw)
+
+
+def _folded_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:
+    """``lambda_binomial``, unchecked and folded: with e_a = exp_a·(2g-a) +
+    exp_b·a, λ_a carries L^(e_a) and, for a < g, L^(e_(2g-a) + g-a), never
+    the same exponent: they differ by (g-a)·(2exp_a - 2exp_b - 1)."""
+    g = genus
+    lam = {a: LaurentInt._raw({exp_a * (2 * g - a) + exp_b * a: 1,
+                               exp_a * a + exp_b * (2 * g - a) + g - a: 1})
+           for a in range(g)}
+    lam[g] = LaurentInt._raw({(exp_a + exp_b) * g: 1})
+    return MotiveClass._raw(g, lam)
+
+
+def _tate_combination(genus: int, parts) -> MotiveClass:
+    """The class Σ X·t over the (X, t) parts, X a class of this genus and t
+    a ``LaurentInt``: one {exponent: coefficient} map per λ-index, the longer
+    term run in the inner loop, then zero terms and empty components
+    dropped.  A Tate factor moves no λ-index, so the result is canonical."""
+    acc: dict[int, dict[int, int]] = {}
+    for cls, tate in parts:
+        t_terms = tate._c.items()
+        for a, p in cls._lam.items():
+            outer, inner = p._c.items(), t_terms
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            row = acc.get(a)
+            for k, x in outer:
+                if row is None:  # the first run is a shifted copy
+                    row = acc[a] = (dict(inner) if k == 0 and x == 1 else
+                                    {e + k: c * x for e, c in inner})
+                    continue
+                get = row.get
+                for e, c in inner:
+                    e += k
+                    row[e] = get(e, 0) + c * x
+    out = {}
+    for a in sorted(acc):
+        row = acc[a]
+        if 0 in row.values():
+            row = {e: c for e, c in row.items() if c}
+        if row:
+            out[a] = LaurentInt._raw(row)
+    return MotiveClass._raw(genus, out)
+
+
+def _weight_match(lhs: MotiveClass, rhs: MotiveClass) -> dict[int, bool]:
+    """Per weight a + 2e of a term λ_a·L^e of either class, in ascending
+    order: whether the two classes agree on every term of that weight."""
+    match: dict[int, bool] = {}
+    for a in lhs._lam.keys() | rhs._lam.keys():
+        x, y = lhs.component(a)._c, rhs.component(a)._c
+        for e in x.keys() | y.keys():
+            m = a + 2 * e
+            match[m] = match.get(m, True) and x.get(e, 0) == y.get(e, 0)
+    return dict(sorted(match.items()))

@@ -1,7 +1,9 @@
 """Property tests of the core types on random inputs (hypothesis): the ring
 laws of ``LaurentInt``, the module laws of ``MotiveClass`` over it, duality
-as an involution, exact-division round trips, and ``series_div`` against
-the schoolbook oracle of ``tests/test_division.py``."""
+as an involution, exact-division round trips, ``series_div`` against
+the schoolbook oracle of ``tests/test_division.py``, and the private
+combination kernel and weight match of ``motive.py`` against public class
+arithmetic."""
 
 import pytest
 
@@ -9,7 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from motiveforge.laurent import LaurentInt  # noqa: E402
-from motiveforge.motive import MotiveClass  # noqa: E402
+from motiveforge.motive import (MotiveClass, _tate_combination,  # noqa: E402
+                                _weight_match)
 from test_division import ONE, schoolbook  # noqa: E402
 
 # per test, not a profile: a profile loaded by another module would win
@@ -91,3 +94,35 @@ def test_series_div_matches_schoolbook(num, den, unit, order):
     got, exact = num.series_div(den, order)
     assert dict(got.items()) == quo
     assert exact is (not rem)
+
+
+@st.composite
+def combinations(draw):
+    """A genus and (class, Tate polynomial) parts; half the time each part
+    is followed by its negative, so that the sum cancels to zero."""
+    g = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.tuples(classes(g), laurents), max_size=4))
+    if draw(st.booleans()):
+        parts = [q for x, t in parts for q in ((x, t), (x, -t))]
+    return g, parts
+
+
+@bounded
+@given(combinations())
+def test_tate_combination_matches_class_arithmetic(case):
+    g, parts = case
+    expected = MotiveClass.zero(g)
+    for x, t in parts:
+        expected = expected + x * t
+    got = _tate_combination(g, parts)
+    assert got == expected
+    assert all(p for p in got.components().values())
+
+
+@bounded
+@given(class_pairs())
+def test_weight_match_matches_weight_parts(pair):
+    x, y = pair
+    weights = sorted(set(x.weights()) | set(y.weights()))
+    assert _weight_match(x, y) == {
+        m: x.weight_part(m) == y.weight_part(m) for m in weights}

@@ -11,8 +11,8 @@ from motiveforge import (BiLaurent, LaurentInt, MotiveClass, MotiveSeries,
                          curve_ranks, decompose, geometric, hn_closed,
                          hodge_closed, kummer, lambda_binomial, n0_even,
                          n0_odd, n0_odd_chain, n0_odd_closed, pair_moduli,
-                         projective_series, pw_classes, ss_preimage,
-                         sym_power_bruteforce, sym_power_curve,
+                         projective_series, pw_classes, range_sum,
+                         ss_preimage, sym_power_bruteforce, sym_power_curve,
                          sym_power_ranks, sym_power_walls)
 from motiveforge import verify
 
@@ -31,7 +31,14 @@ VALUE_ERRORS = {
     "MotiveClass.lam λ-index": lambda v: MotiveClass.lam(2, v),
     "MotiveClass.weight_part weight":
         lambda v: MotiveClass(2, {0: 1, 1: 1}).weight_part(v),
+    "MotiveClass.truncate_below weight":
+        lambda v: MotiveClass(2, {0: 1, 1: 1}).truncate_below(v),
+    "MotiveClass.twist twist": lambda v: MotiveClass(2, {1: 1}).twist(v),
     "lambda_binomial genus": lambda v: lambda_binomial(0, 1, v),
+    "lambda_binomial exponent of A": lambda v: lambda_binomial(v, 0, 2),
+    "lambda_binomial exponent of B": lambda v: lambda_binomial(0, v, 2),
+    "range_sum lower exponent": lambda v: range_sum(v, 3),
+    "range_sum upper exponent": lambda v: range_sum(0, v),
     "MotiveSeries genus": lambda v: MotiveSeries(v, [MotiveClass(1)]),
     "big_f genus series": lambda v: big_f(0, 1, 2, v, "series"),
     "big_f genus closed": lambda v: big_f(0, 1, 2, v, "closed"),
@@ -78,7 +85,8 @@ VALUE_ERRORS = {
     "verify.run genus range end": lambda v: verify.run("lambda", (2, v)),
 }
 
-# a bool coefficient or exponent used to reach the JSON as true or "True"
+# a bool coefficient or exponent used to reach the JSON as true or "True";
+# a bool operand or divisor used to be read as 0 or 1 (L + True gave 1 + L)
 TYPE_ERRORS = {
     "LaurentInt constant": LaurentInt,
     "LaurentInt exponent": lambda v: LaurentInt({v: 1}),
@@ -89,6 +97,17 @@ TYPE_ERRORS = {
     "BiLaurent coefficient": lambda v: BiLaurent({(0, 0): v}),
     "MotiveClass coefficient": lambda v: MotiveClass(2, {1: v}),
     "MotiveClass.tate exponent": lambda v: MotiveClass.tate(2, v),
+    "LaurentInt + operand": lambda v: LaurentInt({0: 1, 1: 1}) + v,
+    "operand + LaurentInt": lambda v: v + LaurentInt({0: 1, 1: 1}),
+    "LaurentInt - operand": lambda v: LaurentInt({0: 1, 1: 1}) - v,
+    "operand - LaurentInt": lambda v: v - LaurentInt({0: 1, 1: 1}),
+    "LaurentInt.exact_div divisor": lambda v: LaurentInt(6).exact_div(v),
+    "LaurentInt.series_div divisor":
+        lambda v: LaurentInt(6).series_div(v, 3),
+    "BiLaurent + operand": lambda v: BiLaurent.monomial(1, 0) + v,
+    "MotiveClass * operand": lambda v: MotiveClass(2, {1: 1}) * v,
+    "MotiveClass.exact_div divisor":
+        lambda v: MotiveClass(2, {1: 6}).exact_div(v),
 }
 
 # the helper's one message format
@@ -122,6 +141,13 @@ def test_polynomial_entries_refuse_non_ints(name, bad, no_work):
     with pytest.raises(TypeError):
         TYPE_ERRORS[name](bad)
 
+
+def test_bools_are_not_polynomials():
+    # LaurentInt(1) == True used to hold
+    for poly, flag in ((LaurentInt(1), True), (LaurentInt(), False),
+                       (BiLaurent({(0, 0): 1}), True)):
+        assert poly.__eq__(flag) is NotImplemented
+        assert not poly == flag
 
 
 def test_verify_refuses_bad_cases_and_ranges_before_any_check(monkeypatch):

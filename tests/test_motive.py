@@ -4,7 +4,8 @@ import pytest
 
 from motiveforge.laurent import ExactDivisionError, L, LaurentInt, lpow
 from motiveforge.motive import (GenusMismatchError, MotiveClass,
-                                UnsupportedProductError, canonicalize,
+                                UnsupportedProductError, _folded_binomial,
+                                _tate_combination, canonicalize,
                                 lambda_binomial)
 
 
@@ -133,6 +134,33 @@ def test_lambda_binomial_g2():
     assert lambda_binomial(0, 0, 2).rank() == 16
     for g in (1, 2, 3):
         assert lambda_binomial(0, 0, g).rank() == 2 ** (2 * g)
+
+
+def test_folded_binomial_matches_lambda_binomial():
+    # the pipelines' direct fold against the constructor's fold
+    for g in range(1, 6):
+        for ea in range(-2, 3):
+            for eb in range(-2, 3):
+                assert (_folded_binomial(ea, eb, g)
+                        == lambda_binomial(ea, eb, g)), (g, ea, eb)
+
+
+def test_tate_combination_cancels_to_the_zero_class():
+    x = MotiveClass(2, {0: 1 + L, 1: lpow(-1), 2: 3})
+    total = _tate_combination(
+        2, [(x, 1 + L), (x * L, LaurentInt(1)), (x, -1 - 2 * L)])
+    assert total == MotiveClass.zero(2)
+    assert total.components() == {}
+    assert _tate_combination(2, []) == MotiveClass.zero(2)
+
+
+def test_tate_combination_with_coinciding_shifts():
+    # a chain factor L^j - L^(top-2j) with j = top - 2j is zero: a dict
+    # {j: 1, top - 2j: -1} would keep -L^j
+    x = lambda_binomial(0, 1, 3)
+    factor = lpow(4) - lpow(12 - 2 * 4)
+    assert _tate_combination(3, [(x, factor)]) == MotiveClass.zero(3)
+    assert _tate_combination(3, [(x, lpow(4) + lpow(4))]) == x * lpow(4, 2)
 
 
 def test_main_lemma_identity(registry_passes):
