@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .laurent import LaurentInt, _check_int, range_sum
 from .motive import (MotiveClass, _folded_binomial, _tate_combination,
-                     _weight_match)
+                     _weight_match, lambda_binomial)
 from .macdonald import sym_power_curve, sym_power_walls
 from .series import _check_order
 
@@ -137,17 +137,15 @@ def n0_odd_chain(genus: int, degree: int | None = None) -> MotiveClass:
     # [P^m] = (1 - L^(m+1))/(1 - L): a product by 1 - L, then one division
     # by a binomial
     lef = LaurentInt.monomial(1)
-    return _tate_combination(genus, [(last, 1 - lef)]).exact_div(
-        1 - lef ** (degree - 2 * genus + 2))
+    return (last * (1 - lef)).exact_div(1 - lef ** (degree - 2 * genus + 2))
 
 
 def n0_odd_closed(genus: int) -> MotiveClass:
     """Odd-determinant moduli class from the closed binomial expression:
     ((1 + L)^(h¹) - L^g (1 + 1)^(h¹)) / ((1-L)(1-L²))."""
     _check_closed_genus(genus, 2)
-    num = _tate_combination(genus, [
-        (_folded_binomial(0, 1, genus), LaurentInt(1)),
-        (_folded_binomial(0, 0, genus), -LaurentInt.monomial(genus))])
+    num = (lambda_binomial(0, 1, genus)
+           - lambda_binomial(0, 0, genus) * LaurentInt.monomial(genus))
     return (num.exact_div(1 - LaurentInt.monomial(1))
             .exact_div(1 - LaurentInt.monomial(2)))
 
@@ -301,22 +299,24 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     _check_order(order)
     d = 4 * genus - 2
     _check_chain(genus, d, 2 * genus - 1)
-    one, lef = LaurentInt(1), LaurentInt.monomial(1)
+    lef = LaurentInt.monomial(1)
 
     mo = _chain(genus, d, sym_power_walls(genus, 2 * genus - 2))
     odd = n0_odd(genus)
     ss = ss_preimage(genus)
-    mos = _tate_combination(genus, [(mo, one), (ss, -lef ** (genus - 1))])
+    # the kernel, not the class operators, for the two largest sums: each
+    # operator call re-validates its result through the constructor
+    mos = _tate_combination(genus, [(mo, LaurentInt(1)),
+                                    (ss, -lef ** (genus - 1))])
     # [P^(2g-1)] = (1 - L^(2g))/(1 - L): the same truncated series and
     # flags, as the remainder only gains the unit factor 1 - L
     stable, flags = _tate_combination(genus, [(mos, 1 - lef)]).series_div(
         1 - lef ** (2 * genus), order)
     kum_twisted = kummer(genus) * LaurentInt.monomial(2 * genus - 3)
-    total = _tate_combination(genus, [(stable, one), (kum_twisted, one)])
+    total = stable + kum_twisted
 
     cut = 2 * genus - 2
-    delta = _tate_combination(genus, [(total.truncate_below(cut), one),
-                                      (odd.truncate_below(cut), -one)])
+    delta = total.truncate_below(cut) - odd.truncate_below(cut)
     diffs = {m: delta.weight_part(m) for m in delta.weights()}
 
     # the two displayed closed forms, cross-multiplied by

@@ -6,8 +6,8 @@ A class is a genus-tagged sparse map {a: LaurentInt} representing
 0..g with the Jacobian duality rewrite ``λ_a = λ_{2g-a} · L^{a-g}`` for a > g,
 so equality of classes is equality of the stored maps.  The term λ_a·L^b is
 homogeneous of weight a + 2b and has rank C(2g, a).  The pipelines read no
-stored map: they build their sums with ``_tate_combination`` and their
-binomials with ``_folded_binomial``.
+stored map: they sum classes with ``_tate_combination``, take their
+binomials from ``_folded_binomial`` and compare with ``_weight_match``.
 
 Only the module structure over Z[L, L^-1] is provided.  Products λ_a·λ_b are
 deliberately absent (they would need plethysm data none of the pipelines use);
