@@ -214,6 +214,9 @@ def _run_moduli(args) -> _Result:
 
 
 def _run_realize(args) -> _Result:
+    if args.format == "csv":
+        # the csv rows have no column for the levels
+        _reject(args, "realize --format csv", "level")
     cls = _read_class(args.infile)
     if args.betti:
         poly = realize.betti(cls)

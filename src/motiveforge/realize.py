@@ -92,31 +92,46 @@ def betti(x: MotiveClass) -> LaurentInt:
 
 def _hodge_table(x: MotiveClass) -> dict[int, list[tuple[int, int, int]]]:
     """λ_a -> its (i, a - i, C(g,i)·C(g,a-i)) Hodge terms, for each λ-index
-    of ``x``; its weight parts need no other index."""
+    of ``x``; its weight parts need no other index.  Both i and a - i stay
+    at or below the top λ-index, so C(g, 0..top) suffice: top + 1
+    binomials, whatever the genus."""
+    lam = x._lam
+    if not lam:
+        return {}
     g = x.genus
-    row = [comb(g, i) for i in range(g + 1)]
-    # canonical indices run over 0..g, so i and a - i both stay in 0..g
+    row = [comb(g, i) for i in range(max(lam) + 1)]
     return {a: [(i, a - i, row[i] * row[a - i]) for i in range(a + 1)]
-            for a in x.lambda_indices()}
+            for a in lam}
 
 
-def _hodge(x: MotiveClass, table) -> BiLaurent:
-    """Hodge realization of ``x`` against a ``_hodge_table`` that covers
-    its λ-indices."""
-    out: dict[tuple[int, int], int] = {}
-    for a, p in x.components().items():
-        base = table[a]
-        for e, c in p.items():
-            for i, j, r in base:
-                k = (i + e, j + e)
-                out[k] = out.get(k, 0) + r * c
-    return BiLaurent._raw({k: c for k, c in out.items() if c})
+def _weight_hodge(part: MotiveClass, table) -> dict[int, int]:
+    """The Hodge numbers {p: h^(p, m-p)} of a weight-m part against a
+    ``_hodge_table`` that covers its λ-indices; zeros dropped.  Within one
+    weight p fixes q, so one symbol carries the part."""
+    out: dict[int, int] = {}
+    get = out.get
+    for a, lp in part._lam.items():
+        # a weight part holds one Lefschetz exponent per λ-index
+        [(e, c)] = lp._c.items()
+        for i, _, r in table[a]:
+            p = i + e
+            out[p] = get(p, 0) + r * c
+    return {p: h for p, h in out.items() if h}
 
 
 def hodge(x: MotiveClass) -> BiLaurent:
     """Hodge realization: λ_a goes to the (g,g)-bigraded exterior ranks,
     L to xy."""
-    return _hodge(x, _hodge_table(x))
+    table = _hodge_table(x)
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for a, p in x._lam.items():
+        base = table[a]
+        for e, c in p._c.items():
+            for i, j, r in base:
+                k = (i + e, j + e)
+                out[k] = get(k, 0) + r * c
+    return BiLaurent._raw({k: c for k, c in out.items() if c})
 
 
 def hn_closed(genus: int) -> LaurentInt:
@@ -176,9 +191,9 @@ def level_per_weight(x: MotiveClass) -> dict[int, int]:
     table = _hodge_table(x)
     out: dict[int, int] = {}
     for m in x.weights():
-        support = _hodge(x.weight_part(m), table)._c
+        support = _weight_hodge(x.weight_part(m), table)
         if support:
-            out[m] = max(abs(i - j) for i, j in support)
+            out[m] = max(abs(2 * p - m) for p in support)
     return out
 
 
@@ -187,6 +202,6 @@ def hodge_diamond_rows(x: MotiveClass) -> list[tuple[int, int, int, int]]:
     table = _hodge_table(x)
     rows = []
     for m in x.weights():
-        for (i, j), c in _hodge(x.weight_part(m), table).items():
-            rows.append((m, i, j, c))
+        h = _weight_hodge(x.weight_part(m), table)
+        rows.extend((m, p, m - p, h[p]) for p in sorted(h))
     return rows

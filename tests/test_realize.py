@@ -160,8 +160,9 @@ def test_weight_split_matches_hodge_slices_at_benchmark_sizes():
 
 def test_realizations_build_one_hodge_table(monkeypatch):
     """One call realizes every weight part against one table of exterior
-    ranks: at g = 24 at most (g+1)(g+2) = 650 binomials, where a table per
-    weight part takes 14 400."""
+    ranks, whose binomials C(g, 0..top) stop at the class's top λ-index:
+    top + 1 = 24 of them for the odd moduli class at g = 24 (top index 23),
+    and one for a pure Tate class of genus 10⁶."""
     calls = [0]
 
     def counting_comb(n, k):
@@ -170,10 +171,17 @@ def test_realizations_build_one_hodge_table(monkeypatch):
 
     monkeypatch.setattr(realize, "comb", counting_comb)
     x = n0_odd_closed(24)
-    for fn in (hodge, level_per_weight, hodge_diamond_rows):
+    assert x.lambda_indices()[-1] == 23
+    tate = MotiveClass(10 ** 6, {0: 1})
+    for fn, expected in ((hodge, BiLaurent(1)),
+                         (level_per_weight, {0: 0}),
+                         (hodge_diamond_rows, [(0, 0, 0, 1)])):
         calls[0] = 0
         fn(x)
-        assert 0 < calls[0] <= 25 * 26, (fn.__name__, calls[0])
+        assert calls[0] == 24, (fn.__name__, calls[0])
+        calls[0] = 0
+        assert fn(tate) == expected, fn.__name__
+        assert calls[0] == 1, (fn.__name__, calls[0])
 
 
 def test_hodge_specializes_to_betti(registry_passes):

@@ -1,12 +1,15 @@
 """Property tests of the realizations on random classes (hypothesis)."""
 
+from math import comb
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from motiveforge.motive import MotiveClass  # noqa: E402
-from motiveforge.realize import (betti, hodge, hodge_diamond_rows,  # noqa: E402
+from motiveforge.realize import (_hodge_table, _weight_hodge,  # noqa: E402
+                                 betti, hodge, hodge_diamond_rows,
                                  level_per_weight)
 
 settings.register_profile("realize", deadline=None, database=None)
@@ -60,3 +63,38 @@ def test_levels_and_rows_are_the_slices_of_one_hodge(x):
     assert level_per_weight(x) == levels
     assert hodge_diamond_rows(x) == sorted(
         (i + j, i, j, c) for (i, j), c in h.items())
+
+
+@st.composite
+def cancelling_classes(draw):
+    """Any class of genus 2..6 plus λ_a·L^e and λ_b·L^f of one weight whose
+    coefficients cancel its h^(p, m-p)."""
+    g = draw(st.integers(2, 6))
+    a = draw(st.integers(0, g - 2))
+    b = a + 2 * draw(st.integers(1, (g - a) // 2))
+    e = draw(st.integers(-4, 4))
+    f = e - (b - a) // 2  # both terms have weight a + 2e
+    p = draw(st.integers(e, a + e))  # h^(p, q) is nonzero for both terms
+    ra = comb(g, p - e) * comb(g, a + e - p)
+    rb = comb(g, p - f) * comb(g, b + f - p)
+    pair = MotiveClass(g, {a: {e: rb}, b: {f: -ra}})
+    return pair + draw(classes(g))
+
+
+def _two_symbol_route(x):
+    """The reference: each weight part realized as a two-symbol polynomial
+    and read as {p: h}."""
+    return {m: {i: c for (i, _), c in hodge(x.weight_part(m)).items()}
+            for m in x.weights()}
+
+
+@given(st.one_of(classes(), cancelling_classes()))
+def test_weight_kernel_matches_the_two_symbol_route(x):
+    ref = _two_symbol_route(x)
+    table = _hodge_table(x)
+    assert {m: _weight_hodge(x.weight_part(m), table)
+            for m in x.weights()} == ref
+    assert level_per_weight(x) == {m: max(abs(2 * p - m) for p in h)
+                                   for m, h in ref.items() if h}
+    assert hodge_diamond_rows(x) == [(m, p, m - p, h[p]) for m, h in
+                                     ref.items() for p in sorted(h)]
