@@ -5,7 +5,7 @@ a genus-g curve's weight-one class and L is the Lefschetz class.  Everything
 is exact integer arithmetic.
 """
 
-from motiveforge import L, LaurentInt, MotiveClass, canonicalize, lambda_binomial, lpow
+from motiveforge import L, LaurentInt, MotiveClass, lambda_binomial
 
 # --- Laurent polynomials in L -------------------------------------------------
 
@@ -29,8 +29,8 @@ print("(1+L)/(1-L) up to L^6 =", quotient.render(), "| terminated:", exact)
 
 # indices above g fold down: λ_3 at genus 2 is λ_1 · L
 print()
-print("canonicalize λ3 at g=2:", canonicalize({3: 1}, 2).render())
-print("canonicalize λ4 at g=2:", canonicalize({4: 1}, 2).render())
+print("canonicalize λ3 at g=2:", MotiveClass(2, {3: 1}).render())
+print("canonicalize λ4 at g=2:", MotiveClass(2, {4: 1}).render())
 
 x = MotiveClass(2, {0: 1 + L, 1: 1})
 print("x            =", x.render())
@@ -40,7 +40,7 @@ print("x dual       =", x.dual().render())
 
 # the weight of λ_a·L^b is a + 2b; classes split into homogeneous parts
 print("weights of x =", x.weights())
-for w, part in x.weight_decomposition():
+for w, part in x.weight_decomposition().items():
     print(f"  weight {w}: {part.render()}")
 
 # --- the binomial classes -------------------------------------------------------
@@ -53,5 +53,5 @@ print("rank of (1 + 1)^(h1):", lambda_binomial(0, 0, 2).rank(), "= 2^(2g)")
 
 # the two argument orders differ by a twist: (A+B)^M = L^-g (BL + A)^M
 lhs = lambda_binomial(1, -1, 3)
-rhs = lambda_binomial(0, 1, 3) * lpow(-3)
+rhs = lambda_binomial(0, 1, 3) * LaurentInt.monomial(-3)
 print("binomial symmetry at g=3:", lhs == rhs)

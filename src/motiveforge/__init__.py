@@ -8,9 +8,9 @@ types of intermediate jacobians.  All arithmetic is exact over Python ints.
 """
 
 from .laurent import (DivisorUnitError, ExactDivisionError, L, LaurentInt,
-                      lpow, range_sum)
+                      range_sum)
 from .motive import (GenusMismatchError, MotiveClass, UnsupportedProductError,
-                     WeightPart, canonicalize, lambda_binomial)
+                     lambda_binomial)
 from .series import (DegenerateDenominatorError, MotiveSeries,
                      SeriesOrderError, big_f, binomial_series, geometric,
                      projective_series)
@@ -33,14 +33,12 @@ __all__ = [
     "DivisorUnitError", "EnumerationGuardError", "ExactDivisionError",
     "GenusMismatchError", "JacobianDecomposition", "L", "LaurentInt",
     "MotiveClass", "MotiveSeries", "PipelineIntegrityError", "PipelineReport",
-    "SeriesOrderError", "Stage", "UnsupportedProductError", "WeightPart", "betti", "big_f",
-    "binomial_series", "canonicalize", "closed_multiplicities", "curve_ranks",
-    "decompose", "factors_from_weight_part", "geometric",
-    "hodge", "hodge_closed", "hodge_diamond_rows", "hn_closed", "kummer",
-    "lambda_binomial", "level_per_weight", "lpow", "n0_even",
-    "n0_odd", "n0_odd_chain", "n0_odd_closed",
+    "SeriesOrderError", "Stage", "UnsupportedProductError", "betti", "big_f",
+    "binomial_series", "closed_multiplicities", "curve_ranks", "decompose",
+    "factors_from_weight_part", "geometric", "hodge", "hodge_closed",
+    "hodge_diamond_rows", "hn_closed", "kummer", "lambda_binomial",
+    "level_per_weight", "n0_even", "n0_odd", "n0_odd_chain", "n0_odd_closed",
     "omega_index", "pair_moduli", "projective_series", "pw_classes",
-    "range_sum",
-    "ss_preimage", "sym_power_bruteforce", "sym_power_curve",
+    "range_sum", "ss_preimage", "sym_power_bruteforce", "sym_power_curve",
     "sym_power_ranks", "sym_power_walls",
 ]

@@ -42,6 +42,7 @@ def factors_from_weight_part(part: MotiveClass, i: int) -> tuple[tuple[int, int]
     Every component must be a single positive multiple of λ_(2α-1)·L^(i-α)
     with 1 <= α <= ⌊(i+1)/3⌋; anything else is a shape mismatch.
     """
+    _check_int(i, "jacobian index", 1)
     alpha_max = (i + 1) // 3
     factors = []
     for a in part.lambda_indices():

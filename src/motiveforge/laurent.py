@@ -258,6 +258,7 @@ class LaurentInt(_SparseLaurent):
 
     def evaluate(self, value: int):
         """Evaluate at an integer; exact, returns an int when it is one."""
+        _check_int(value, "evaluation point")
         total = Fraction(0)
         for e, c in self._c.items():
             total += c * Fraction(value) ** e
@@ -428,8 +429,3 @@ def range_sum(lo: int, hi: int) -> LaurentInt:
 
 #: the Lefschetz symbol itself, for building polynomials by arithmetic
 L = LaurentInt.monomial(1)
-
-
-def lpow(exp: int, coeff: int = 1) -> LaurentInt:
-    """Shorthand for a single monomial coeff·L^exp."""
-    return LaurentInt.monomial(exp, coeff)

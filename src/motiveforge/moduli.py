@@ -55,6 +55,7 @@ class ClosedGenusError(ValueError):
 
 def omega_index(d: int) -> int:
     """Index of the last pair-moduli space in the chain of degree d."""
+    _check_int(d, "degree")
     return (d - 1) // 2
 
 
@@ -317,7 +318,6 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
 
     cut = 2 * genus - 2
     delta = total.truncate_below(cut) - odd.truncate_below(cut)
-    diffs = {m: delta.weight_part(m) for m in delta.weights()}
 
     # the two displayed closed forms, cross-multiplied by
     # (1-L)²(1-L²) = 1 - 2L + 2L³ - L⁴ and compared weight by weight:
@@ -348,7 +348,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
         Stage("stable_division_exact", "flags", flags),
         Stage("kummer_twisted", "class", kum_twisted),
         Stage("n0_even", "class", total),
-        Stage("truncation_vs_odd", "diff", (cut, diffs)),
+        Stage("truncation_vs_odd", "diff", (cut, delta.weight_decomposition())),
         Stage("m_omega_closed_form", "weight_match", mo_match),
         Stage("n0_stable_closed_form", "weight_match", stable_match),
     )

@@ -17,7 +17,6 @@ multiplying two classes is a typed error unless one of them is pure Tate.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 from .laurent import (ExactDivisionError, LaurentInt, _check_int, _int_key,
                       _signed_sum, _spell_power)
@@ -31,11 +30,6 @@ class GenusMismatchError(ValueError):
 
 class UnsupportedProductError(TypeError):
     """Product would need λ·λ multiplication, which this module excludes."""
-
-
-class WeightPart(NamedTuple):
-    weight: int
-    part: "MotiveClass"
 
 
 class MotiveClass:
@@ -202,16 +196,10 @@ class MotiveClass:
                 seen.add(a + 2 * e)
         return sorted(seen)
 
-    def weight_decomposition(self) -> list[WeightPart]:
-        return [WeightPart(m, self.weight_part(m)) for m in self.weights()]
-
-    def max_weight(self) -> int | None:
-        ws = self.weights()
-        return ws[-1] if ws else None
-
-    def min_weight(self) -> int | None:
-        ws = self.weights()
-        return ws[0] if ws else None
+    def weight_decomposition(self) -> dict[int, "MotiveClass"]:
+        """The split into weight parts, {m: weight_part(m)} in ascending
+        weight over the weights with a nonzero part; they sum to the class."""
+        return {m: self.weight_part(m) for m in self.weights()}
 
     def truncate_below(self, m: int) -> "MotiveClass":
         """Keep the weight parts strictly below m."""
@@ -292,11 +280,6 @@ class MotiveClass:
         if len(components) != len(items):  # "1" and "01" name one index
             raise ValueError(f"duplicate λ-index in lambda map: {raw!r}")
         return cls(data["genus"], components)
-
-
-def canonicalize(raw, genus: int) -> MotiveClass:
-    """Fold a λ-index map over 0..2g into the canonical 0..g range."""
-    return MotiveClass(genus, raw)
 
 
 def lambda_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:

@@ -182,26 +182,25 @@ def _divide_levels(num: BiLaurent, genus: int) -> BiLaurent:
     return BiLaurent._raw(out)
 
 
+def _diamonds(x: MotiveClass) -> dict[int, dict[int, int]]:
+    """{m: {p: h^(p, m-p)}} per weight part of ``x``, in ascending weight,
+    against one ``_hodge_table``: what the levels and diamond rows read."""
+    table = _hodge_table(x)
+    return {m: _weight_hodge(part, table)
+            for m, part in x.weight_decomposition().items()}
+
+
 def level_per_weight(x: MotiveClass) -> dict[int, int]:
     """Maximum |p - q| over the Hodge support of each weight part.
 
     Computed on the realization support, signs included; for virtual classes
     interpret with care (a cancelling pair of signs hides its level).
     """
-    table = _hodge_table(x)
-    out: dict[int, int] = {}
-    for m in x.weights():
-        support = _weight_hodge(x.weight_part(m), table)
-        if support:
-            out[m] = max(abs(2 * p - m) for p in support)
-    return out
+    return {m: max(abs(2 * p - m) for p in h)
+            for m, h in _diamonds(x).items() if h}
 
 
 def hodge_diamond_rows(x: MotiveClass) -> list[tuple[int, int, int, int]]:
     """(weight, p, q, h) rows of the per-weight Hodge diamonds, sorted."""
-    table = _hodge_table(x)
-    rows = []
-    for m in x.weights():
-        h = _weight_hodge(x.weight_part(m), table)
-        rows.extend((m, p, m - p, h[p]) for p in sorted(h))
-    return rows
+    return [(m, p, m - p, h[p])
+            for m, h in _diamonds(x).items() for p in sorted(h)]

@@ -50,12 +50,12 @@ class MotiveSeries:
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coef_at(self, n: int) -> MotiveClass:
+    def __getitem__(self, n: int) -> MotiveClass:
+        """The T^n coefficient; an n outside 0..order is an ``IndexError``."""
+        _check_int(n, "coefficient index")
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient T^{n} outside order {self.order}")
         return self._coeffs[n]
-
-    __getitem__ = coef_at
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MotiveSeries):
@@ -101,6 +101,7 @@ def _check_order(order: int) -> None:
 def geometric(u_exp: int, genus: int, order: int) -> MotiveSeries:
     """(1 - L^u_exp · T)^-1 up to T^order: the coefficient of T^n is
     L^(n·u_exp)."""
+    _check_int(u_exp, "geometric exponent")
     _check_order(order)
     return MotiveSeries(genus, [MotiveClass.tate(genus, n * u_exp)
                                 for n in range(order + 1)])
@@ -109,6 +110,7 @@ def geometric(u_exp: int, genus: int, order: int) -> MotiveSeries:
 def binomial_series(genus: int, order: int) -> MotiveSeries:
     """(1 + T)^(h¹C) up to T^order: the coefficient of T^a is λ_a, zero
     above 2g."""
+    _check_int(genus, "genus", 1)
     _check_order(order)
     coeffs = []
     for a in range(order + 1):
@@ -138,6 +140,8 @@ def big_f(e1: int, e2: int, e3: int, genus: int, mode: str = "series") -> Motive
     which requires the three exponents to be pairwise distinct.  The two
     modes agree wherever both are defined.
     """
+    for e in (e1, e2, e3):
+        _check_int(e, "kernel exponent")
     _check_int(genus, "genus", 1)
     if mode == "series":
         n = 2 * genus

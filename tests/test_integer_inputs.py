@@ -8,9 +8,10 @@ import pytest
 
 from motiveforge import (BiLaurent, LaurentInt, MotiveClass, MotiveSeries,
                          big_f, binomial_series, closed_multiplicities,
-                         curve_ranks, decompose, geometric, hn_closed,
-                         hodge_closed, kummer, lambda_binomial, n0_even,
-                         n0_odd, n0_odd_chain, n0_odd_closed, pair_moduli,
+                         curve_ranks, decompose, factors_from_weight_part,
+                         geometric, hn_closed, hodge_closed, kummer,
+                         lambda_binomial, n0_even, n0_odd, n0_odd_chain,
+                         n0_odd_closed, omega_index, pair_moduli,
                          projective_series, pw_classes, range_sum,
                          ss_preimage, sym_power_bruteforce, sym_power_curve,
                          sym_power_ranks, sym_power_walls)
@@ -23,7 +24,9 @@ RANKS = {0: 1, 1: 4, 2: 1}
 # sym_power_curve and decompose used to write a bool genus or index into the
 # JSON, MotiveClass rendered λTrue, weight_part(4.0) and
 # scale_exponents(1.5) wrote float exponent keys, and a series kept a bool
-# genus
+# genus; a bool or float kernel exponent, series index, evaluation point,
+# degree or jacobian index was read as a number, and binomial_series
+# compared a string genus
 VALUE_ERRORS = {
     "MotiveClass genus": lambda v: MotiveClass(v, {0: 1}),
     "MotiveClass.tate genus": lambda v: MotiveClass.tate(v, 1),
@@ -42,10 +45,18 @@ VALUE_ERRORS = {
     "MotiveSeries genus": lambda v: MotiveSeries(v, [MotiveClass(1)]),
     "big_f genus series": lambda v: big_f(0, 1, 2, v, "series"),
     "big_f genus closed": lambda v: big_f(0, 1, 2, v, "closed"),
+    "big_f first exponent": lambda v: big_f(v, 0, -1, 2, "series"),
+    "big_f second exponent": lambda v: big_f(0, v, -1, 2, "series"),
+    "big_f third exponent": lambda v: big_f(0, -1, v, 2, "series"),
+    "geometric exponent": lambda v: geometric(v, 2, 3),
+    "MotiveSeries index": lambda v: geometric(1, 2, 3)[v],
+    "binomial_series genus": lambda v: binomial_series(v, 3),
     "geometric order": lambda v: geometric(1, 2, v),
     "binomial_series order": lambda v: binomial_series(2, v),
     "projective_series order": lambda v: projective_series(2, v),
     "series_div order": lambda v: LaurentInt({0: 1, 1: 1}).series_div(1, v),
+    "LaurentInt.evaluate point":
+        lambda v: LaurentInt({0: 1, 1: 1}).evaluate(v),
     "LaurentInt power": lambda v: LaurentInt({0: 1, 1: 1}) ** v,
     "LaurentInt.scale_exponents scale":
         lambda v: LaurentInt({0: 1, 1: 2}).scale_exponents(v),
@@ -67,6 +78,7 @@ VALUE_ERRORS = {
     "pair_moduli genus": lambda v: pair_moduli(v, 6, 1),
     "pair_moduli degree": lambda v: pair_moduli(2, v, 1),
     "pair_moduli index": lambda v: pair_moduli(2, 6, v),
+    "omega_index degree": omega_index,
     "n0_odd_chain genus": n0_odd_chain,
     "n0_odd_chain degree": lambda v: n0_odd_chain(2, v),
     "n0_odd_closed genus": n0_odd_closed,
@@ -79,6 +91,8 @@ VALUE_ERRORS = {
     "hodge_closed genus": hodge_closed,
     "decompose genus": lambda v: decompose(v, 1),
     "decompose index": lambda v: decompose(2, v),
+    "factors_from_weight_part index":
+        lambda v: factors_from_weight_part(MotiveClass(2), v),
     "closed_multiplicities index": closed_multiplicities,
     "verify.run cases": lambda v: verify.run("lambda", None, v),
     "verify.run genus range start": lambda v: verify.run("lambda", (v, 3)),

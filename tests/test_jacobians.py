@@ -3,7 +3,7 @@ import pytest
 from motiveforge.jacobians import (DecompositionError, JacobianDecomposition,
                                    closed_multiplicities, decompose,
                                    factors_from_weight_part)
-from motiveforge.laurent import lpow
+from motiveforge.laurent import L, LaurentInt
 from motiveforge.motive import MotiveClass
 
 
@@ -49,18 +49,19 @@ def test_decompose_validates_inputs():
 
 def test_shape_mismatch_detection():
     # two terms in one component
-    bad = MotiveClass(5, {1: lpow(1) + lpow(2)})
+    bad = MotiveClass(5, {1: L + L ** 2})
     with pytest.raises(DecompositionError):
         factors_from_weight_part(bad, 2)
     # wrong exponent
     with pytest.raises(DecompositionError):
-        factors_from_weight_part(MotiveClass(5, {1: lpow(3)}), 2)
+        factors_from_weight_part(MotiveClass(5, {1: L ** 3}), 2)
     # negative multiplicity
     with pytest.raises(DecompositionError):
-        factors_from_weight_part(MotiveClass(5, {1: lpow(1, -2)}), 2)
+        factors_from_weight_part(
+            MotiveClass(5, {1: LaurentInt.monomial(1, -2)}), 2)
     # factor index out of range: a λ3 factor needs i >= 5
     with pytest.raises(DecompositionError):
-        factors_from_weight_part(MotiveClass(5, {3: lpow(1)}), 4)
+        factors_from_weight_part(MotiveClass(5, {3: L}), 4)
 
 
 def test_json_shape():

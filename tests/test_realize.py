@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from motiveforge import realize
-from motiveforge.laurent import L, LaurentInt, lpow
+from motiveforge.laurent import L, LaurentInt
 from motiveforge.moduli import kummer, n0_odd, n0_odd_closed
 from motiveforge.motive import MotiveClass
 from motiveforge.realize import (BiLaurent, X, Y, betti, hodge, hodge_closed,
@@ -30,12 +30,12 @@ def test_bilaurent_arithmetic():
 
 def test_bilaurent_specialize_diagonal():
     p = 2 * X ** 2 * Y + 2 * X * Y ** 2 + 1
-    assert p.specialize_diagonal() == 1 + 4 * lpow(3)
+    assert p.specialize_diagonal() == 1 + 4 * L ** 3
 
 
 def test_betti_basics():
-    assert betti(MotiveClass.lam(2, 1, lpow(1))) == lpow(3, 4)
-    assert betti(kummer(2)) == 1 + 6 * lpow(2) + lpow(4)
+    assert betti(MotiveClass.lam(2, 1, L)) == LaurentInt.monomial(3, 4)
+    assert betti(kummer(2)) == 1 + 6 * L ** 2 + L ** 4
     assert betti(n0_odd(2)) == LaurentInt({0: 1, 2: 1, 3: 4, 4: 1, 6: 1})
 
 
@@ -191,7 +191,7 @@ def test_hodge_specializes_to_betti(registry_passes):
 def test_level_per_weight():
     levels = level_per_weight(n0_odd(2))
     assert levels == {0: 0, 2: 0, 3: 1, 4: 0, 6: 0}
-    assert level_per_weight(MotiveClass.lam(2, 1, lpow(4))) == {9: 1}
+    assert level_per_weight(MotiveClass.lam(2, 1, L ** 4)) == {9: 1}
     assert level_per_weight(MotiveClass.tate(3, 5)) == {10: 0}
     assert level_per_weight(MotiveClass.zero(2)) == {}
 

@@ -8,9 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from motiveforge.motive import MotiveClass  # noqa: E402
-from motiveforge.realize import (_hodge_table, _weight_hodge,  # noqa: E402
-                                 betti, hodge, hodge_diamond_rows,
-                                 level_per_weight)
+from motiveforge.realize import (_diamonds, betti, hodge,  # noqa: E402
+                                 hodge_diamond_rows, level_per_weight)
 
 settings.register_profile("realize", deadline=None, database=None)
 settings.load_profile("realize")
@@ -48,9 +47,11 @@ def test_hodge_on_the_diagonal_is_betti(x):
 
 @given(classes())
 def test_weight_parts_sum_to_the_class(x):
-    parts = [x.weight_part(m) for m in x.weights()]
-    assert sum(parts, MotiveClass.zero(x.genus)) == x
-    for part in parts:
+    parts = x.weight_decomposition()
+    assert list(parts) == x.weights()
+    assert sum(parts.values(), MotiveClass.zero(x.genus)) == x
+    for m, part in parts.items():
+        assert part.weights() == [m]
         assert part == MotiveClass(x.genus, part.components())
 
 
@@ -91,9 +92,7 @@ def _two_symbol_route(x):
 @given(st.one_of(classes(), cancelling_classes()))
 def test_weight_kernel_matches_the_two_symbol_route(x):
     ref = _two_symbol_route(x)
-    table = _hodge_table(x)
-    assert {m: _weight_hodge(x.weight_part(m), table)
-            for m in x.weights()} == ref
+    assert _diamonds(x) == ref
     assert level_per_weight(x) == {m: max(abs(2 * p - m) for p in h)
                                    for m, h in ref.items() if h}
     assert hodge_diamond_rows(x) == [(m, p, m - p, h[p]) for m, h in
