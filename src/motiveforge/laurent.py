@@ -15,16 +15,14 @@ not an integer Laurent polynomial; it stops once a quotient exponent passes
 max(self) - max(other), where every exact quotient ends, so it always ends.
 ``LaurentInt.series_div`` expands ``self/other`` as a power series in L up to
 a requested exponent, which only needs the divisor's bottom coefficient to be
-a unit.  Both run one long division: a running sum for a binomial divisor
-whose bottom coefficient is a unit (1 - L, 1 - L^k, the factors of every
-closed form), a heap of remainder exponents for any other divisor.
+a unit.  Both run the one long division, ``_long_div``, over a heap of
+remainder exponents.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
@@ -33,10 +31,9 @@ from typing import Callable, NamedTuple
 class ExactDivisionError(ArithmeticError):
     """A quotient that was required to be exact left a remainder."""
 
-    def __init__(self, message: str, remainder=None, lam: int | None = None):
+    def __init__(self, message: str, remainder=None):
         super().__init__(message)
         self.remainder = remainder
-        self.lam = lam
 
 
 class DivisorUnitError(ValueError):
@@ -264,20 +261,16 @@ class LaurentInt(_SparseLaurent):
             total += c * Fraction(value) ** e
         return int(total) if total.denominator == 1 else total
 
-    def _long_div(self, other: "LaurentInt", inside: Callable[[int], bool]):
+    def _long_div(self, other: "LaurentInt", top: int):
         """(quotient, remainder map) of dividing by nonzero ``other`` from
-        the bottom term until the next quotient exponent fails ``inside``.
+        the bottom term until the next quotient exponent exceeds ``top``.
 
         The bottom terms come from a heap of remainder exponents.  Each
         division step only adds terms strictly above the term it cancels,
         so an exponent is pushed once, when it first enters the remainder;
-        a cancelled one stays in the map as 0 and is skipped when popped.
-        A binomial divisor with a unit bottom coefficient takes
-        ``_binomial_div`` instead, with the same results."""
+        a cancelled one stays in the map as 0 and is skipped when popped."""
         lo = min(other._c)
         unit = other._c[lo]
-        if len(other._c) == 2 and unit in (1, -1):
-            return self._binomial_div(other, inside)
         terms = other._c.items()
         rem = dict(self._c)
         heap = list(rem)
@@ -289,7 +282,7 @@ class LaurentInt(_SparseLaurent):
             if not c:
                 continue
             qe = e - lo
-            if not inside(qe):
+            if qe > top:
                 return self._raw(quo), {k: v for k, v in rem.items() if v}
             if c % unit:
                 raise ExactDivisionError(
@@ -307,45 +300,6 @@ class LaurentInt(_SparseLaurent):
                     heappush(heap, ee)
         return self._raw(quo), {}
 
-    def _binomial_div(self, other: "LaurentInt",
-                      inside: Callable[[int], bool]):
-        """``_long_div`` by u·L^s + v·L^t, u = ±1 and s < t, as a running
-        sum: with k = t - s, the quotient term at q is
-        u·(n_(q+s) - v·q_(q-k)).
-
-        Only exponents that hold a numerator term, or lie k above a
-        quotient term, can be nonzero; they are visited in ascending order
-        by merging the sorted numerator with a queue of the quotient
-        exponents plus k, which grow in order.  So the cost is
-        O(numerator terms + quotient terms), never O(exponent span).  The
-        division stops where the heap's does: at the first nonzero term
-        whose quotient exponent fails ``inside``, leaving the remainder
-        N - Q·D, or when nothing is left to visit."""
-        (s, u), (t, v) = sorted(other._c.items())
-        k = t - s
-        num = sorted(self._c.items())
-        owed: deque = deque()  # (quotient exponent, -v·q_(that - k))
-        quo: dict = {}
-        i, n = 0, len(num)
-        while i < n or owed:
-            if i < n and (not owed or num[i][0] - s <= owed[0][0]):
-                e, c = num[i]
-                i += 1
-                qe = e - s
-                if owed and owed[0][0] == qe:
-                    c += owed.popleft()[1]
-            else:
-                qe, c = owed.popleft()
-            if not c:
-                continue
-            if not inside(qe):
-                done = self._raw(quo)
-                return done, (self - done * other)._c
-            c *= u  # c // u, as u is ±1
-            quo[qe] = c
-            owed.append((qe + k, -v * c))
-        return self._raw(quo), {}
-
     def exact_div(self, other) -> "LaurentInt":
         """Long division from the bottom term; the remainder must vanish.
         Quotient exponents only grow, and an exact quotient ends at
@@ -357,7 +311,7 @@ class LaurentInt(_SparseLaurent):
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return self._raw({})
-        quo, rem = self._long_div(other, (max(self._c) - max(other._c)).__ge__)
+        quo, rem = self._long_div(other, max(self._c) - max(other._c))
         if rem:
             left = self._raw(rem)
             raise ExactDivisionError(
@@ -381,7 +335,7 @@ class LaurentInt(_SparseLaurent):
         if unit not in (1, -1):
             raise DivisorUnitError(
                 f"series division needs a unit bottom coefficient, got {unit}")
-        quo, rem = self._long_div(other, order.__ge__)
+        quo, rem = self._long_div(other, order)
         return quo, not rem
 
     def render(self, symbol: str = "L") -> str:

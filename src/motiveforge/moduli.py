@@ -55,7 +55,7 @@ class ClosedGenusError(ValueError):
 
 def omega_index(d: int) -> int:
     """Index of the last pair-moduli space in the chain of degree d."""
-    _check_int(d, "degree")
+    _check_int(d, "degree", 1)
     return (d - 1) // 2
 
 
@@ -86,8 +86,8 @@ def pw_classes(genus: int, d: int, i: int) -> tuple[MotiveClass, MotiveClass]:
     P^(i-1)-bundle, both over the i-th symmetric product of the curve; a
     wall index whose plus side would have negative dimension is refused.
     """
+    _check_int(d, "degree", 1)
     _check_int(genus, "genus", 2)
-    _check_int(d, "degree")
     _check_int(i, f"wall index at degree {d}", 0, (d + genus - 2) // 2)
     _check_chain(genus, d, i)
     base = sym_power_curve(genus, i)
@@ -114,8 +114,8 @@ def _chain(genus: int, d: int, walls: list[MotiveClass]) -> MotiveClass:
 
 def pair_moduli(genus: int, d: int, i: int) -> MotiveClass:
     """Class of the i-th moduli space of pairs in the degree-d chain."""
+    _check_int(d, "degree", 1)
     _check_int(genus, "genus", 2)
-    _check_int(d, "degree")
     _check_int(i, f"pair index at degree {d}", 0, omega_index(d))
     _check_chain(genus, d, i)
     return _chain(genus, d, sym_power_walls(genus, i))

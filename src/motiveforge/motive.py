@@ -222,7 +222,7 @@ class MotiveClass:
             except ExactDivisionError as exc:
                 raise ExactDivisionError(
                     f"non-exact division in λ{a} component: {exc}",
-                    remainder=exc.remainder, lam=a) from None
+                    remainder=exc.remainder) from None
         return MotiveClass._raw(self._g, out)
 
     def series_div(self, p, order: int) -> tuple["MotiveClass", dict[int, bool]]:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from math import comb
 
-from .laurent import (ExactDivisionError, LaurentInt, _Exponents,
+from .laurent import (ExactDivisionError, LaurentInt, _check_int, _Exponents,
                       _SparseLaurent)
 from .motive import MotiveClass
-from .moduli import PipelineIntegrityError, _check_closed_genus
+from .moduli import (CLOSED_GENUS_GUARD, PipelineIntegrityError,
+                     _check_closed_genus)
 
 
 class BiLaurent(_SparseLaurent):
@@ -78,8 +79,17 @@ X = BiLaurent.monomial(1, 0)
 Y = BiLaurent.monomial(0, 1)
 
 
+def _check_top_index(x: MotiveClass) -> None:
+    """Refuse, before any binomial, a class whose top λ-index passes
+    ``moduli.CLOSED_GENUS_GUARD``: the exterior ranks C(2g, a) and the
+    Hodge table's C(g, 0..top) grow with that index, whatever the genus."""
+    if x._lam:
+        _check_int(max(x._lam), "top λ-index", 0, CLOSED_GENUS_GUARD)
+
+
 def betti(x: MotiveClass) -> LaurentInt:
     """Betti realization: λ_a·L^b goes to C(2g,a)·t^(a+2b)."""
+    _check_top_index(x)
     g2 = 2 * x.genus
     out: dict[int, int] = {}
     for a, p in x.components().items():
@@ -95,6 +105,7 @@ def _hodge_table(x: MotiveClass) -> dict[int, list[tuple[int, int, int]]]:
     of ``x``; its weight parts need no other index.  Both i and a - i stay
     at or below the top λ-index, so C(g, 0..top) suffice: top + 1
     binomials, whatever the genus."""
+    _check_top_index(x)
     lam = x._lam
     if not lam:
         return {}

@@ -295,6 +295,28 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert out == "" and err.startswith("motiveforge: ValueError: "), err
 
 
+def test_input_beyond_the_pipelines_exits_1(monkeypatch, capsys):
+    # a pair chain of degree 0 has no spaces; it used to be refused as an
+    # index out of the empty range 0..-1
+    assert cli.main(["moduli", "pairs", "--genus", "2", "--degree", "0",
+                     "--index", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "motiveforge: ValueError: degree must be an integer >= 1, got 0\n")
+    # without the guard one λ_8000 term takes about 8 s per realization;
+    # every form refuses it before any binomial
+    record = json.dumps({"schema": "motive-class/v1", "genus": 8000,
+                         "lambda": {"8000": {"0": 1}}}, separators=(",", ":"))
+    for args in (["--betti"], ["--hodge"], ["--hodge", "--level"],
+                 ["--hodge", "--format", "csv"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(record))
+        assert cli.main(["realize", *args]) == 1, args
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "motiveforge: ValueError: top λ-index must be an integer in "
+            f"0..{moduli.CLOSED_GENUS_GUARD}, got 8000\n"), args
+
+
 def test_pipeline_disagreement_exits_1(monkeypatch, capsys):
     # the flip chain and the closed formula must agree; make them differ on
     # a cold memo, since an earlier test may have verified genus 2

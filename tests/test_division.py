@@ -146,12 +146,13 @@ def _binomial(rng, u, v):
     return LaurentInt({s: u, s + rng.randint(1, 6): v})
 
 
-def _check_long_div(num, den, inside):
-    """``_long_div``'s quotient and remainder, and ``exact_div``'s quotient
-    or remainder, against the schoolbook."""
-    quo, rem = schoolbook(dict(num.items()), dict(den.items()), inside, ONE)
+def _check_long_div(num, den, top):
+    """``_long_div``'s quotient and remainder up to the quotient exponent
+    ``top``, and ``exact_div``'s quotient or remainder, against the
+    schoolbook."""
+    quo, rem = schoolbook(dict(num.items()), dict(den.items()), top.__ge__, ONE)
     try:
-        got, left = num._long_div(den, inside)
+        got, left = num._long_div(den, top)
     except ExactDivisionError as err:  # a bottom term the unit cannot divide
         assert dict(err.remainder.items()) == rem, (num, den)
     else:
@@ -160,8 +161,9 @@ def _check_long_div(num, den, inside):
 
 
 def test_binomial_division_matches_schoolbook():
-    """u·L^s + v·L^t with u, v = ±1 divides by a running sum; exact,
-    non-exact and zero numerators, with negative and nonzero s."""
+    """u·L^s + v·L^t with u, v = ±1: exact, non-exact and zero numerators,
+    with negative and nonzero s, through ``_long_div``, ``exact_div`` and
+    ``series_div``."""
     rng = random.Random(404)
     for u, v in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         for _ in range(60):
@@ -170,31 +172,71 @@ def test_binomial_division_matches_schoolbook():
             for num in (x * den, LaurentInt(_random_map(rng, _one, 6)),
                         LaurentInt()):
                 for order in (0, 3, 7, 15):
-                    _check_long_div(num, den, order.__ge__)
+                    _check_long_div(num, den, order)
                     quo, rem = schoolbook(dict(num.items()), dict(den.items()),
                                           order.__ge__, ONE)
                     got, exact = num.series_div(den, order)
                     assert (dict(got.items()), exact) == (quo, not rem)
                 if num:
-                    _check_long_div(num, den,
-                                    (num.max_exp - den.max_exp).__ge__)
+                    _check_long_div(num, den, num.max_exp - den.max_exp)
 
 
-def test_only_unit_binomials_skip_the_heap(monkeypatch):
+def test_every_divisor_divides_through_the_heap(monkeypatch):
+    """Unit binomials (v = ±1 or 3), non-unit binomials and a trinomial all
+    take the one heap division, and match the schoolbook."""
     pops = []
     monkeypatch.setattr(laurent, "heappop",
                         lambda heap: pops.append(1) or heapq.heappop(heap))
     rng = random.Random(505)
-    cases = [(_binomial(rng, u, v), True)
-             for u in (1, -1) for v in (1, -1, 3) for _ in range(5)]
-    cases += [(2 - 2 * L, False), (3 + 3 * L ** 2, False),
-              (1 - L - L ** 2, False)]
-    for den, running in cases:
+    dens = [_binomial(rng, u, v)
+            for u in (1, -1) for v in (1, -1, 3) for _ in range(5)]
+    dens += [2 - 2 * L, 3 + 3 * L ** 2, 1 - L - L ** 2]
+    for den in dens:
         for num in (den * (1 + 2 * L ** 3 - L ** 5), 7 * L ** 4 + L):
             del pops[:]
-            _check_long_div(num, den, (num.max_exp - den.max_exp).__ge__)
-            _check_long_div(num, den, (5).__ge__)
-            assert (not pops) is running, den
+            _check_long_div(num, den, num.max_exp - den.max_exp)
+            _check_long_div(num, den, 5)
+            assert pops, den
+
+
+def test_heap_work_is_bounded(monkeypatch):
+    """Each quotient term pushes at most (divisor terms - 1) exponents, as
+    the term it cancels is already in the heap, and every pop takes a
+    numerator exponent or a pushed one: on exact and non-exact divisions,
+    binomials included."""
+    work = {"push": 0, "pop": 0}
+
+    def push(heap, e):
+        work["push"] += 1
+        heapq.heappush(heap, e)
+
+    def pop(heap):
+        work["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(laurent, "heappush", push)
+    monkeypatch.setattr(laurent, "heappop", pop)
+    rng = random.Random(606)
+    pushed = 0
+    for _ in range(300):
+        den = _nonzero(lambda: LaurentInt(_random_map(rng, _one, 5)))
+        unit = den + LaurentInt(
+            {den.min_exp: rng.choice((1, -1)) - den.coeff(den.min_exp)})
+        x = LaurentInt(_random_map(rng, _one, 6))
+        cases = [(x * den, den), (x * unit, unit),
+                 (LaurentInt(_random_map(rng, _one, 8)), unit),
+                 (x * (1 - L ** 3), 1 - L ** 3),
+                 (LaurentInt(_random_map(rng, _one, 8)), 1 + L ** 2),
+                 ((1 - L) ** 6 + L ** 9, 1 - L)]
+        for num, d in cases:
+            for top in ((num.max_exp - d.max_exp) if num else 0, 4, 20):
+                work.update(push=0, pop=0)
+                quo, _ = num._long_div(d, top)
+                n_quo, n_den = len(quo.items()), len(d.items())
+                assert work["push"] <= n_quo * (n_den - 1), (num, d, work)
+                assert work["pop"] <= len(num.items()) + work["push"], (num, d)
+                pushed += work["push"]
+    assert pushed  # the counters saw the division's heap
 
 
 def test_sparse_binomial_division_is_immediate():

@@ -46,7 +46,7 @@ def test_pw_classes():
 
 def test_pw_classes_refuse_negative_plus_dimension():
     # the plus side is a P^(d-2i+g-2)-bundle: i may reach (d+g-2)/2
-    for g, d, i in ((2, 5, 7), (2, 6, 4), (3, 5, 4), (2, -1, 0)):
+    for g, d, i in ((2, 5, 7), (2, 6, 4), (3, 5, 4)):
         with pytest.raises(ValueError, match="wall index"):
             pw_classes(g, d, i)
     plus, _ = pw_classes(3, 5, 3)
@@ -70,6 +70,21 @@ def test_pair_moduli_g2_d6():
         1: L + 2 * L ** 2 + 2 * L ** 3 + L ** 4,
         2: L ** 2})
     assert betti(cls).coeff(6) == 10
+
+
+def test_pair_chains_refuse_degrees_without_pair_spaces():
+    # a degree below 1 used to pass as an empty index range ("pair index at
+    # degree 0 must be an integer in 0..-1"), and omega_index(-7) was -4
+    for call in (lambda: pair_moduli(2, 0, 0), lambda: pw_classes(2, -5, 0),
+                 lambda: omega_index(-7), lambda: pw_classes(2, 0, 0),
+                 lambda: pw_classes(2, -1, 0),
+                 # the degree is checked first
+                 lambda: pair_moduli(1, 0, -1), lambda: pw_classes(1, 0, 9)):
+        with pytest.raises(ValueError,
+                           match=r"^degree must be an integer >= 1, got -?\d+$"):
+            call()
+    assert omega_index(1) == 0
+    assert pair_moduli(2, 1, 0) == MotiveClass(2, {0: range_sum(0, 1)})
 
 
 def test_pair_moduli_validates_index():

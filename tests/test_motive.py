@@ -110,9 +110,9 @@ def test_exact_div_componentwise():
     x = MotiveClass(2, {0: 1 + L, 1: LaurentInt({2: 2})})
     p = 1 + L
     assert (x * p).exact_div(p) == x
-    with pytest.raises(ExactDivisionError) as err:
+    with pytest.raises(ExactDivisionError, match="in λ1 component") as err:
         MotiveClass(2, {1: 1 + L ** 2}).exact_div(1 + L)
-    assert err.value.lam == 1
+    assert err.value.remainder == 2 * L ** 2
 
 
 def test_series_div_componentwise():

@@ -5,7 +5,8 @@ import pytest
 
 from motiveforge import realize
 from motiveforge.laurent import L, LaurentInt
-from motiveforge.moduli import kummer, n0_odd, n0_odd_closed
+from motiveforge.moduli import (CLOSED_GENUS_GUARD, kummer, n0_odd,
+                                n0_odd_closed)
 from motiveforge.motive import MotiveClass
 from motiveforge.realize import (BiLaurent, X, Y, betti, hodge, hodge_closed,
                                  hodge_diamond_rows, hn_closed,
@@ -182,6 +183,30 @@ def test_realizations_build_one_hodge_table(monkeypatch):
         calls[0] = 0
         assert fn(tate) == expected, fn.__name__
         assert calls[0] == 1, (fn.__name__, calls[0])
+
+
+def test_realizations_refuse_a_top_index_above_the_guard(monkeypatch):
+    """A top λ-index above ``moduli.CLOSED_GENUS_GUARD`` is refused before
+    any binomial; at the guard a class of genus 10⁹ still realizes."""
+    def no_comb(n, k):
+        raise AssertionError("a binomial before the guard")
+
+    monkeypatch.setattr(realize, "comb", no_comb)
+    big = MotiveClass(8000, {8000: 1})
+    for fn in (betti, hodge, level_per_weight, hodge_diamond_rows):
+        with pytest.raises(ValueError, match=(
+                f"^top λ-index must be an integer in 0..{CLOSED_GENUS_GUARD}"
+                ", got 8000$")):
+            fn(big)
+    monkeypatch.undo()
+    top = CLOSED_GENUS_GUARD
+    at_guard = MotiveClass(10 ** 9, {top: 1})
+    assert betti(at_guard) == LaurentInt.monomial(top, comb(2 * 10 ** 9, top))
+    h = hodge(at_guard)
+    assert len(h.items()) == top + 1
+    assert h.coeff(1, top - 1) == 10 ** 9 * comb(10 ** 9, top - 1)
+    tate = MotiveClass(10 ** 6, {0: 1})
+    assert betti(tate) == 1 and hodge(tate) == BiLaurent(1)
 
 
 def test_hodge_specializes_to_betti(registry_passes):
