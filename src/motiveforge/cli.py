@@ -23,6 +23,12 @@ from . import moduli, realize, verify
 from .jacobians import decompose
 
 
+#: most decimal digits of an integer literal in the JSON the command line
+#: reads (a class record or a rank vector), whatever the interpreter's own
+#: int-string limit is
+INPUT_DIGIT_GUARD = 4300
+
+
 class UsageError(Exception):
     """A command line that parses but cannot run: exit status 2."""
 
@@ -72,6 +78,39 @@ def _genus_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_digits(what: str, size: int, unit: str) -> None:
+    if size > INPUT_DIGIT_GUARD:
+        raise ValueError(f"{what} of {size} {unit} exceeds the guard "
+                         f"INPUT_DIGIT_GUARD ({INPUT_DIGIT_GUARD})")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        # a key may spell an index or exponent: the same bound as a literal
+        _check_digits("JSON key", len(key), "characters")
+        if key in out:
+            raise ValueError(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
+def _bounded_int(literal: str) -> int:
+    _check_digits("JSON integer", len(literal.lstrip("-")), "digits")
+    return int(literal)
+
+
+def _read_json(blob: str):
+    """The one JSON reader of the command line: a repeated key, a key or
+    integer literal longer than INPUT_DIGIT_GUARD and nesting beyond the
+    interpreter's recursion limit are each a ``ValueError``."""
+    try:
+        return json.loads(blob, object_pairs_hook=_unique_keys,
+                          parse_int=_bounded_int)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _read_class(path: str | None) -> MotiveClass:
     if path in (None, "-"):
         blob = sys.stdin.read()
@@ -81,7 +120,7 @@ def _read_class(path: str | None) -> MotiveClass:
                 blob = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc.strerror}") from None
-    return MotiveClass.from_json_dict(json.loads(blob))
+    return MotiveClass.from_json_dict(_read_json(blob))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_int)
     p.add_argument("--index", type=_int)
     p.add_argument("--parity", choices=("odd", "even"))
-    p.add_argument("--order", type=_int)
 
     p = sub.add_parser("realize", parents=[common],
                        help="Betti or Hodge realization of a class read from "
@@ -175,7 +213,7 @@ def _run_sym_power(args) -> _Result:
     if args.ranks is not None:
         _reject(args, "sym-power --ranks", "genus")
         # a rank vector is read as its Poincaré polynomial: int ranks only
-        poly = LaurentInt.from_coeff_json(json.loads(args.ranks))
+        poly = LaurentInt.from_coeff_json(_read_json(args.ranks))
         fn = sym_power_bruteforce if args.bruteforce else sym_power_ranks
         ranks = fn(dict(poly.items()), args.power)
         rows = [(d, ranks[d]) for d in sorted(ranks)]
@@ -192,7 +230,7 @@ def _run_sym_power(args) -> _Result:
 
 def _run_moduli(args) -> _Result:
     if args.kind == "pairs":
-        _reject(args, "moduli pairs", "parity", "order")
+        _reject(args, "moduli pairs", "parity")
         if args.degree is None or args.index is None:
             raise UsageError("moduli pairs needs --degree and --index")
         return _class_result(
@@ -200,7 +238,7 @@ def _run_moduli(args) -> _Result:
     if args.parity is None:
         raise UsageError("moduli n0 needs --parity odd|even")
     if args.parity == "odd":
-        _reject(args, "moduli n0 --parity odd", "order", "index")
+        _reject(args, "moduli n0 --parity odd", "index")
         if args.degree is not None:
             return _class_result(moduli.n0_odd_chain(args.genus, args.degree))
         return _class_result(moduli.n0_odd(args.genus))
@@ -208,7 +246,7 @@ def _run_moduli(args) -> _Result:
         raise UsageError("the even pipeline fixes degree 4g-2; "
                          "--degree only applies to --parity odd")
     _reject(args, "moduli n0 --parity even", "index")
-    rep = moduli.n0_even(args.genus, args.order)
+    rep = moduli.n0_even(args.genus)
     return _Result(rep.to_json_dict, rep.render_text,
                    lambda: ("stage,field,value", rep.csv_rows()))
 
@@ -285,14 +323,25 @@ def _run_verify(args) -> _Result:
 
 def _emit(result: _Result, fmt: str, path: str | None) -> None:
     """Build the asked-for form of ``result`` and write it, newline-ended,
-    to ``path`` or stdout: the one place output is produced."""
-    if fmt == "json":
-        body = json.dumps(result.json(), indent=2)
-    elif fmt == "text":
-        body = result.text()
-    else:
-        header, rows = result.csv()
-        body = "\n".join([header] + [",".join(map(str, row)) for row in rows])
+    to ``path`` or stdout: the one place output is produced.  Every int is
+    written in full: the interpreter's int-to-str digit limit (Python
+    3.10.7 and later) is lifted while the body is built, then restored, so
+    INPUT_DIGIT_GUARD, not that limit, bounds what is printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            body = json.dumps(result.json(), indent=2)
+        elif fmt == "text":
+            body = result.text()
+        else:
+            header, rows = result.csv()
+            body = "\n".join([header]
+                             + [",".join(map(str, row)) for row in rows])
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     body += "\n"
     if path is None:
         sys.stdout.write(body)

@@ -152,6 +152,11 @@ def sym_power_bruteforce(b: dict[int, int], n: int) -> dict[int, int]:
     _check_int(n, "symmetric power index", 0)
     _check_order(n)
     ranks = _validated_ranks(b)
+    # listing the generators is work too: refuse a count above the guard
+    # before the list is built
+    if sum(ranks.values()) > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"more than {ENUMERATION_GUARD} generators to enumerate")
     gens = [deg for deg in sorted(ranks) for _ in range(ranks[deg])]
     work = 0
     # table[k]: degree tally over multisets of k generators from the suffix

@@ -245,9 +245,15 @@ class Stage:
 @dataclass(frozen=True)
 class PipelineReport:
     genus: int
-    degree: int
-    order: int
     stages: tuple[Stage, ...]
+
+    @property
+    def degree(self) -> int:  # of the even chain
+        return 4 * self.genus - 2
+
+    @property
+    def order(self) -> int:  # of the series division by the fibration
+        return 8 * self.genus
 
     def stage(self, name: str) -> Stage:
         for st in self.stages:
@@ -279,7 +285,7 @@ class PipelineReport:
                 if key not in ("name", "kind")]
 
 
-def n0_even(genus: int, order: int | None = None) -> PipelineReport:
+def n0_even(genus: int) -> PipelineReport:
     """Run the even-determinant pipeline and assemble the full report.
 
     Stages: the last pair space of the degree-(4g-2) chain, the semistable
@@ -288,16 +294,14 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     the assembled class, the truncation comparison against the odd case below
     weight 2g-2, and the two closed-form comparators (diagnostic only: they
     are checked per weight, never used as the computation path).  The series
-    order defaults to 8g, the one default the command line also uses.  The
-    walls S_0..S_(2g-2) of the degree-(4g-2) chain come from
+    division runs to order 8g, so the series order guard bounds the genus.
+    The walls S_0..S_(2g-2) of the degree-(4g-2) chain come from
     ``sym_power_walls``: the powers from g on by Riemann–Roch from those
     below g.  The odd class is ``n0_odd(genus)``: built and compared with
     the closed form once per genus and process.
     """
     _check_closed_genus(genus, 2)
-    if order is None:
-        order = 8 * genus
-    _check_order(order)
+    _check_order(8 * genus)
     d = 4 * genus - 2
     _check_chain(genus, d, 2 * genus - 1)
     lef = LaurentInt.monomial(1)
@@ -312,7 +316,7 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
     # [P^(2g-1)] = (1 - L^(2g))/(1 - L): the same truncated series and
     # flags, as the remainder only gains the unit factor 1 - L
     stable, flags = _tate_combination(genus, [(mos, 1 - lef)]).series_div(
-        1 - lef ** (2 * genus), order)
+        1 - lef ** (2 * genus), 8 * genus)
     kum_twisted = kummer(genus) * LaurentInt.monomial(2 * genus - 3)
     total = stable + kum_twisted
 
@@ -352,4 +356,4 @@ def n0_even(genus: int, order: int | None = None) -> PipelineReport:
         Stage("m_omega_closed_form", "weight_match", mo_match),
         Stage("n0_stable_closed_form", "weight_match", stable_match),
     )
-    return PipelineReport(genus=genus, degree=d, order=order, stages=stages)
+    return PipelineReport(genus=genus, stages=stages)

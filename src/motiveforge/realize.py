@@ -59,14 +59,14 @@ class BiLaurent(_SparseLaurent):
             out[e] = out.get(e, 0) + c
         return LaurentInt(out)
 
-    def render(self, sx: str = "x", sy: str = "y") -> str:
+    def render(self) -> str:
         def spell(m: tuple[int, int], mag: int) -> str:
             i, j = m
             factors = [str(mag)] if mag != 1 or m == (0, 0) else []
             if i:
-                factors.append(sx if i == 1 else f"{sx}^{i}")
+                factors.append("x" if i == 1 else f"x^{i}")
             if j:
-                factors.append(sy if j == 1 else f"{sy}^{j}")
+                factors.append("y" if j == 1 else f"y^{j}")
             return "·".join(factors)
         return self._render(spell)
 

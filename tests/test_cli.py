@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -245,21 +246,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                   "--out", str(tmp_path / "no-such-dir" / "class.json")),
                  # an option the chosen form would not read is refused too
                  ("moduli", "n0", "--genus", "2", "--parity", "odd",
-                  "--order", "99999"),
-                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
-                  "--degree", "7", "--order", "20"),
-                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
                   "--index", "1"),
                  ("moduli", "n0", "--genus", "2", "--parity", "even",
                   "--degree", "6"),
                  ("moduli", "n0", "--genus", "2", "--parity", "even",
                   "--index", "0"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6",
-                  "--index", "2", "--order", "0"),
-                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
                   "--index", "2", "--parity", "even"),
-                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
-                  "--index", "2", "--parity", "odd", "--order", "-5"),
                  ("sym-power", "--genus", "2", "-n", "2", "--bruteforce"),
                  ("realize", "--betti", "--level", "--format", "csv"),
                  ("sym-power", "--genus", "2", "-n", "2",
@@ -277,8 +270,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                  ("sym-power", "--genus", "2", "-n", " 2"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6.0",
                   "--index", "1"),
-                 ("moduli", "n0", "--genus", "2", "--parity", "even",
-                  "--order", "1_6"),
                  ("big-f", "--genus", "2", "--exponents", "0", "1", "2 "),
                  ("verify", "--suite", "series", "--genus-range", " 2..3"),
                  ("verify", "--suite", "series", "--genus-range", "2..\u0663"),
@@ -361,14 +352,17 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
         capsys.readouterr()
         assert cli.main(form + ["-n", "5"]) == 1
         assert capsys.readouterr().err == err
-    even = ["moduli", "n0", "--genus", "2", "--parity", "even"]
-    assert cli.main(even + ["--order", "4"]) == 0
+    # the even pipeline divides at order 8g, so the guard bounds its genus
+    even = ["moduli", "n0", "--parity", "even", "--genus"]
+    assert cli.main(even + ["2"]) == 1
+    assert capsys.readouterr().err == ("motiveforge: SeriesOrderError: series "
+                                       "order 16 exceeds the guard 4\n")
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 16)
+    assert cli.main(even + ["2"]) == 0
     capsys.readouterr()
-    assert cli.main(even + ["--order", "5"]) == 1
-    assert capsys.readouterr().err == err
-    # the default order, 8g = 16, is guarded too
-    assert cli.main(even) == 1
-    assert "series order 16 exceeds the guard 4" in capsys.readouterr().err
+    assert cli.main(even + ["3"]) == 1
+    assert capsys.readouterr().err == ("motiveforge: SeriesOrderError: series "
+                                       "order 24 exceeds the guard 16\n")
 
 
 def test_chain_degree_guard_is_a_bad_value(monkeypatch, capsys):
@@ -390,12 +384,14 @@ def test_even_pipeline_rejects_degree_override():
 
 
 def test_env_order_default():
-    # --order is the one source of the series order; without it, 8g
-    res = run_cli("moduli", "n0", "--genus", "2", "--parity", "even",
+    # the even report's series order is 8g; no option sets another
+    res = run_cli("moduli", "n0", "--genus", "3", "--parity", "even")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["order"] == 24
+    res = run_cli("moduli", "n0", "--genus", "3", "--parity", "even",
                   "--order", "32")
-    assert json.loads(res.stdout)["order"] == 32
-    res = run_cli("moduli", "n0", "--genus", "2", "--parity", "even")
-    assert json.loads(res.stdout)["order"] == 16
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unrecognized arguments: --order 32" in res.stderr
 
 
 def test_genus_range_must_not_be_empty(capsys):
@@ -403,3 +399,84 @@ def test_genus_range_must_not_be_empty(capsys):
         cli.main(["verify", "--genus-range", "5..2"])
     assert exc.value.code == 2
     assert "empty range '5..2': 5 > 2" in capsys.readouterr().err
+
+
+def _realize_stdin(monkeypatch, blob, *args):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+    return cli.main(["realize", "--betti", *args])
+
+
+def test_repeated_json_keys_are_refused(monkeypatch, capsys, tmp_path):
+    # the last of two equal keys used to win silently: λ1·5 realized as
+    # 20·t, and the rank vector below read rank 4
+    twice = ('{"schema":"motive-class/v1","genus":2,'
+             '"lambda":{"1":{"0":1},"1":{"0":5}}}')
+    assert _realize_stdin(monkeypatch, twice) == 1
+    assert capsys.readouterr() == (
+        "", "motiveforge: ValueError: repeated JSON key '1'\n")
+    path = tmp_path / "class.json"
+    path.write_text('{"schema":"motive-class/v1","genus":2,"genus":3,'
+                    '"lambda":{}}')
+    assert cli.main(["realize", "--hodge", "--in", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "motiveforge: ValueError: repeated JSON key 'genus'\n")
+    assert cli.main(["sym-power", "-n", "2",
+                     "--ranks", '{"0":1,"1":2,"1":4,"2":1}']) == 1
+    assert capsys.readouterr() == (
+        "", "motiveforge: ValueError: repeated JSON key '1'\n")
+
+
+def test_deep_nesting_is_a_value_error(monkeypatch, capsys):
+    # 200 000 brackets used to end in an uncaught RecursionError traceback
+    deep = "[" * 200_000
+    assert _realize_stdin(monkeypatch, deep) == 1
+    assert capsys.readouterr() == (
+        "", "motiveforge: ValueError: JSON nested too deeply\n")
+    assert cli.main(["sym-power", "-n", "2", f"--ranks={deep}"]) == 1
+    assert capsys.readouterr() == (
+        "", "motiveforge: ValueError: JSON nested too deeply\n")
+
+
+def test_input_digit_guard(monkeypatch, capsys):
+    guard = cli.INPUT_DIGIT_GUARD
+    assert guard == 4300
+
+    def record(coeff, key="0"):
+        return ('{"schema":"motive-class/v1","genus":2,'
+                f'"lambda":{{"0":{{"{key}":{coeff}}}}}}}')
+    assert _realize_stdin(monkeypatch, record("-" + "9" * guard)) == 0
+    capsys.readouterr()
+    for blob, what in ((record("9" * (guard + 1)), "JSON integer of 4301 "
+                        "digits"),
+                       (record("1", "1" * (guard + 1)), "JSON key of 4301 "
+                        "characters")):
+        assert _realize_stdin(monkeypatch, blob) == 1
+        assert capsys.readouterr() == ("", f"motiveforge: ValueError: {what} "
+                                       "exceeds the guard INPUT_DIGIT_GUARD "
+                                       "(4300)\n")
+
+
+def test_output_prints_every_computed_int(monkeypatch, capsys):
+    # a 4 290-digit coefficient on λ_100 at genus 200 is accepted input;
+    # its Betti coefficient C(400, 100)·c has 4 387 digits, which the
+    # interpreter's default int-string limit (4 300) used to lose after
+    # the work was done
+    coeff = "7" * 4290
+    blob = ('{"schema":"motive-class/v1","genus":200,'
+            f'"lambda":{{"100":{{"0":{coeff}}}}}}}')
+    has_limit = hasattr(sys, "set_int_max_str_digits")  # 3.10.7 and later
+    limit = sys.get_int_max_str_digits() if has_limit else None
+    try:
+        if has_limit:
+            sys.set_int_max_str_digits(5000)
+        assert _realize_stdin(monkeypatch, blob, "--format", "csv") == 0
+        if has_limit:
+            # the caller's limit is back, then lifted to spell the value
+            assert sys.get_int_max_str_digits() == 5000
+            sys.set_int_max_str_digits(0)
+        out, err = capsys.readouterr()
+        value = comb(400, 100) * int(coeff)
+        assert err == "" and out == f"degree,rank\n100,{value}\n"
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)

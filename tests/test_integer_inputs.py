@@ -86,7 +86,6 @@ VALUE_ERRORS = {
     "kummer genus": kummer,
     "ss_preimage genus": ss_preimage,
     "n0_even genus": n0_even,
-    "n0_even order": lambda v: n0_even(2, v),
     "hn_closed genus": hn_closed,
     "hodge_closed genus": hodge_closed,
     "decompose genus": lambda v: decompose(v, 1),

@@ -194,3 +194,15 @@ def test_top_degree_bound():
     for n in (1, 2, 3, 4):
         assert max(sym_power_ranks(b, n)) == 2 * n
     assert max(sym_power_ranks({1: 3, 4: 2}, 3)) == 12
+
+
+def test_bruteforce_guard_trips_before_listing_generators(monkeypatch):
+    # a rank of 10^4300 used to be expanded into a list of generators
+    # before the step guard was ever consulted
+    with pytest.raises(EnumerationGuardError, match=(
+            f"more than {ENUMERATION_GUARD} generators to enumerate")):
+        sym_power_bruteforce({0: 10 ** 4300}, 0)
+    monkeypatch.setattr(macdonald, "ENUMERATION_GUARD", 5)
+    assert sym_power_bruteforce({0: 2, 1: 3}, 0) == {0: 1}  # no tally step
+    with pytest.raises(EnumerationGuardError, match="more than 5 generators"):
+        sym_power_bruteforce({0: 3, 1: 3}, 1)

@@ -177,7 +177,7 @@ def test_m_omega_s_g2(registry_passes):
 
 
 def test_n0_even_stable_g2_nonterminating():
-    rep = n0_even(2, 40)
+    rep = n0_even(2)
     cls = rep.stage("n0_even_stable").value
     flags = rep.stage("stable_division_exact").value
     assert flags == {0: False, 1: False, 2: False}
@@ -186,14 +186,14 @@ def test_n0_even_stable_g2_nonterminating():
 
 def test_n0_even_stable_is_the_series_quotient_by_the_fibration():
     # the pipeline divides m_omega_s·(1 - L) by 1 - L^(2g); the oracle
-    # divides m_omega_s by [P^(2g-1)] itself
+    # divides m_omega_s by [P^(2g-1)] itself, at the report's order 8g
     for g in range(2, 7):
-        for order in (0, 5, 40, 8 * g):
-            rep = n0_even(g, order)
-            quo, flags = rep.stage("m_omega_s").value.series_div(
-                range_sum(0, 2 * g - 1), order)
-            assert rep.stage("n0_even_stable").value == quo, (g, order)
-            assert rep.stage("stable_division_exact").value == flags, (g, order)
+        rep = n0_even(g)
+        assert rep.order == 8 * g
+        quo, flags = rep.stage("m_omega_s").value.series_div(
+            range_sum(0, 2 * g - 1), 8 * g)
+        assert rep.stage("n0_even_stable").value == quo, g
+        assert rep.stage("stable_division_exact").value == flags, g
 
 
 def test_n0_even_stable_contract_when_exact():
@@ -286,10 +286,6 @@ def test_displayed_closed_forms_hold_with_one_minus_l_to_the_g():
         assert not all(rep.stage("m_omega_closed_form").value.values()), g
 
 
-def test_n0_even_order_override():
-    assert n0_even(2, 40).order == 40
-
-
 def test_pipeline_genus_validation():
     for fn in (ss_preimage, n0_even):
         with pytest.raises(ValueError):
@@ -338,7 +334,7 @@ def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
         lambda: pair_moduli(2, 13, 6),
         lambda: pw_classes(2, 13, 6),
         lambda: ss_preimage(4),       # S_7
-        lambda: n0_even(4, 5),        # order 5 is fine, S_7 is not
+        lambda: n0_even(2),           # S_3 is fine, order 16 is not
     )
     for call in too_high:
         with pytest.raises(series.SeriesOrderError):
@@ -346,7 +342,12 @@ def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
     assert sym_power_calls == []
     # at the guard they run
     pair_moduli(2, 13, 5)
-    n0_even(3, 5)  # S_0..S_5, order 5
+    assert max(n for _, n in sym_power_calls) == 1  # S_2.. by Riemann–Roch
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 24)
+    with pytest.raises(series.SeriesOrderError):
+        n0_even(4)  # S_7 is fine, order 32 is not
+    assert max(n for _, n in sym_power_calls) == 1
+    n0_even(3)  # S_0..S_5, order 24
     assert max(n for _, n in sym_power_calls) == 2  # S_3.. by Riemann–Roch
 
 

@@ -62,13 +62,13 @@ def test_moduli_suite_builds_each_even_report_once(monkeypatch):
     builds = Counter()
     real = moduli.n0_even
 
-    def counted(genus, order=None):
-        builds[genus, order] += 1
-        return real(genus, order)
+    def counted(genus):
+        builds[genus] += 1
+        return real(genus)
     monkeypatch.setattr(moduli, "n0_even", counted)
     rep = run("moduli")
     assert not rep.failed
-    assert builds == {(3, None): 2, (4, None): 2, (2, None): 1, (2, 40): 1}
+    assert builds == {3: 2, 4: 2, 2: 1}
 
 
 def test_full_run_builds_each_odd_class_once_per_process():
