@@ -323,25 +323,14 @@ def _run_verify(args) -> _Result:
 
 def _emit(result: _Result, fmt: str, path: str | None) -> None:
     """Build the asked-for form of ``result`` and write it, newline-ended,
-    to ``path`` or stdout: the one place output is produced.  Every int is
-    written in full: the interpreter's int-to-str digit limit (Python
-    3.10.7 and later) is lifted while the body is built, then restored, so
-    INPUT_DIGIT_GUARD, not that limit, bounds what is printed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            body = json.dumps(result.json(), indent=2)
-        elif fmt == "text":
-            body = result.text()
-        else:
-            header, rows = result.csv()
-            body = "\n".join([header]
-                             + [",".join(map(str, row)) for row in rows])
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    to ``path`` or stdout: the one place output is produced."""
+    if fmt == "json":
+        body = json.dumps(result.json(), indent=2)
+    elif fmt == "text":
+        body = result.text()
+    else:
+        header, rows = result.csv()
+        body = "\n".join([header] + [",".join(map(str, row)) for row in rows])
     body += "\n"
     if path is None:
         sys.stdout.write(body)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -456,27 +455,33 @@ def test_input_digit_guard(monkeypatch, capsys):
                                        "(4300)\n")
 
 
-def test_output_prints_every_computed_int(monkeypatch, capsys):
-    # a 4 290-digit coefficient on λ_100 at genus 200 is accepted input;
-    # its Betti coefficient C(400, 100)·c has 4 387 digits, which the
-    # interpreter's default int-string limit (4 300) used to lose after
-    # the work was done
-    coeff = "7" * 4290
-    blob = ('{"schema":"motive-class/v1","genus":200,'
-            f'"lambda":{{"100":{{"0":{coeff}}}}}}}')
-    has_limit = hasattr(sys, "set_int_max_str_digits")  # 3.10.7 and later
-    limit = sys.get_int_max_str_digits() if has_limit else None
+def test_output_keeps_the_interpreter_digit_limit(monkeypatch, capsys):
+    # INPUT_DIGIT_GUARD bounds what is read; the interpreter's int-string
+    # limit, left in force, bounds what is printed.  A 4 290-digit
+    # coefficient on λ_100 at genus 200 realizes to C(400, 100)·c, 4 387
+    # digits; λ_200 terms at a 4 300-digit genus to some 860 000 digits
+    # each.  Either run exits 1 with nothing on stdout, not a long print.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-string limit before Python 3.10.7")
+    big_genus = "9" * 4300
+    records = [
+        ('{"schema":"motive-class/v1","genus":200,'
+         f'"lambda":{{"100":{{"0":{"7" * 4290}}}}}}}'),
+        ('{"schema":"motive-class/v1","genus":' + big_genus
+         + ',"lambda":{"200":{' + ",".join(f'"{e}":1' for e in range(200))
+         + "}}}"),
+    ]
+    limit = sys.get_int_max_str_digits()
     try:
-        if has_limit:
-            sys.set_int_max_str_digits(5000)
-        assert _realize_stdin(monkeypatch, blob, "--format", "csv") == 0
-        if has_limit:
-            # the caller's limit is back, then lifted to spell the value
-            assert sys.get_int_max_str_digits() == 5000
-            sys.set_int_max_str_digits(0)
-        out, err = capsys.readouterr()
-        value = comb(400, 100) * int(coeff)
-        assert err == "" and out == f"degree,rank\n100,{value}\n"
+        sys.set_int_max_str_digits(4300)
+        for blob, fmt in [(records[0], "json"), (records[0], "text"),
+                          (records[0], "csv"), (records[1], "csv")]:
+            assert _realize_stdin(monkeypatch, blob, "--format", fmt) == 1
+            out, err = capsys.readouterr()
+            # 3.10 spells the limit "(4300)", later releases "(4300 digits)"
+            assert out == "" and err.startswith(
+                "motiveforge: ValueError: Exceeds the limit (4300")
+            assert len(err.splitlines()) == 1
+            assert sys.get_int_max_str_digits() == 4300
     finally:
-        if has_limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
