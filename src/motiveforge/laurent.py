@@ -233,7 +233,9 @@ class LaurentInt(_SparseLaurent):
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentInt":
-        return cls({exp: coeff})
+        if type(exp) is not int or type(coeff) is not int:
+            raise TypeError(f"bad {cls.__name__} entry {exp!r}: {coeff!r}")
+        return cls._raw({exp: coeff} if coeff else {})
 
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
@@ -254,12 +256,16 @@ class LaurentInt(_SparseLaurent):
         return self._raw({e * k: c for e, c in self._c.items()})
 
     def evaluate(self, value: int):
-        """Evaluate at an integer; exact, returns an int when it is one."""
+        """Evaluate at an integer; exact, returns an int when it is one.
+        The terms are summed in ints, scaled by value^(-lo) for the lowest
+        exponent lo < 0, and that power divides the sum once."""
         _check_int(value, "evaluation point")
-        total = Fraction(0)
-        for e, c in self._c.items():
-            total += c * Fraction(value) ** e
-        return int(total) if total.denominator == 1 else total
+        lo = min(0, min(self._c, default=0))
+        total = sum(c * value ** (e - lo) for e, c in self._c.items())
+        if not lo:
+            return total
+        quo = Fraction(total, value ** -lo)
+        return quo.numerator if quo.denominator == 1 else quo
 
     def _long_div(self, other: "LaurentInt", top: int):
         """(quotient, remainder map) of dividing by nonzero ``other`` from

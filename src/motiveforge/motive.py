@@ -9,6 +9,11 @@ homogeneous of weight a + 2b and has rank C(2g, a).  The pipelines read no
 stored map: they sum classes with ``_tate_combination``, take their
 binomials from ``_folded_binomial`` and compare with ``_weight_match``.
 
+Canonical in, ``_raw`` out: the constructor validates and folds external
+input once; every operation whose inputs are already classes or
+``LaurentInt``s drops its zero components itself and wraps its result with
+``MotiveClass._raw``, unchecked.
+
 Only the module structure over Z[L, L^-1] is provided.  Products λ_a·λ_b are
 deliberately absent (they would need plethysm data none of the pipelines use);
 multiplying two classes is a typed error unless one of them is pure Tate.
@@ -58,7 +63,8 @@ class MotiveClass:
     @classmethod
     def _raw(cls, genus: int, lam: dict) -> "MotiveClass":
         """Wrap a canonical map (indices 0..g, nonzero coefficients),
-        unchecked; the public constructor validates."""
+        unchecked.  The public constructor validates external input; an
+        operation on canonical inputs builds its result here."""
         obj = object.__new__(cls)
         obj._g = genus
         obj._lam = lam
@@ -133,11 +139,15 @@ class MotiveClass:
         self._require_same_genus(other)
         out = dict(self._lam)
         for a, p in other._lam.items():
-            out[a] = out.get(a, LaurentInt()) + p
-        return MotiveClass(self._g, out)
+            s = out[a] + p if a in out else p
+            if s:
+                out[a] = s
+            else:
+                del out[a]
+        return MotiveClass._raw(self._g, out)
 
     def __neg__(self) -> "MotiveClass":
-        return MotiveClass(self._g, {a: -p for a, p in self._lam.items()})
+        return MotiveClass._raw(self._g, {a: -p for a, p in self._lam.items()})
 
     def __sub__(self, other: "MotiveClass") -> "MotiveClass":
         if not isinstance(other, MotiveClass):
@@ -159,7 +169,10 @@ class MotiveClass:
             other = LaurentInt(other)
         if not isinstance(other, LaurentInt):
             return NotImplemented
-        return MotiveClass(
+        if not other:
+            return MotiveClass._raw(self._g, {})
+        # Z[L, L^-1] has no zero divisors: no component vanishes
+        return MotiveClass._raw(
             self._g, {a: p * other for a, p in self._lam.items()})
 
     __rmul__ = __mul__
@@ -173,8 +186,8 @@ class MotiveClass:
 
     def dual(self) -> "MotiveClass":
         """Dualise: λ_a·L^b goes to λ_a·L^(-a-b)."""
-        return MotiveClass(self._g, {
-            a: p.scale_exponents(-1) * LaurentInt.monomial(-a)
+        return MotiveClass._raw(self._g, {
+            a: LaurentInt._raw({-a - e: c for e, c in p._c.items()})
             for a, p in self._lam.items()})
 
     def weight_part(self, m: int) -> "MotiveClass":
@@ -208,8 +221,8 @@ class MotiveClass:
         for a, p in self._lam.items():
             picked = {e: c for e, c in p.items() if a + 2 * e < m}
             if picked:
-                out[a] = LaurentInt(picked)
-        return MotiveClass(self._g, out)
+                out[a] = LaurentInt._raw(picked)
+        return MotiveClass._raw(self._g, out)
 
     # -- division ------------------------------------------------------------------
 
@@ -238,7 +251,7 @@ class MotiveClass:
             flags[a] = exact
             if q:
                 out[a] = q
-        return MotiveClass(self._g, out), flags
+        return MotiveClass._raw(self._g, out), flags
 
     # -- presentation and interchange -------------------------------------------------
 

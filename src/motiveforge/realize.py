@@ -79,12 +79,32 @@ X = BiLaurent.monomial(1, 0)
 Y = BiLaurent.monomial(0, 1)
 
 
+#: bound on a realized class's top λ-index times ``genus.bit_length()``.
+#: The exterior ranks C(2g, a) < (2g)^a and C(g, i)·C(g, a - i) < g^a of
+#: an index a <= top have about that many bits, so it bounds the size of a
+#: realization's binomials: genus 10⁹ (30 bits) at top index 200 is 6 000
+REALIZATION_BITS_GUARD = 10_000
+
+
+class RealizationSizeError(ValueError):
+    """A class whose realization would exceed REALIZATION_BITS_GUARD."""
+
+
 def _check_top_index(x: MotiveClass) -> None:
     """Refuse, before any binomial, a class whose top λ-index passes
-    ``moduli.CLOSED_GENUS_GUARD``: the exterior ranks C(2g, a) and the
-    Hodge table's C(g, 0..top) grow with that index, whatever the genus."""
+    ``moduli.CLOSED_GENUS_GUARD``, or whose top index times the genus's bit
+    length passes REALIZATION_BITS_GUARD: the exterior ranks C(2g, a) and
+    the Hodge table's C(g, 0..top) grow with both."""
     if x._lam:
-        _check_int(max(x._lam), "top λ-index", 0, CLOSED_GENUS_GUARD)
+        top = max(x._lam)
+        _check_int(top, "top λ-index", 0, CLOSED_GENUS_GUARD)
+        genus_bits = x.genus.bit_length()
+        bits = top * genus_bits
+        if bits > REALIZATION_BITS_GUARD:
+            raise RealizationSizeError(
+                f"top λ-index {top} at a genus of {genus_bits} bits "
+                f"gives binomials of about {bits} bits, above the guard "
+                f"REALIZATION_BITS_GUARD ({REALIZATION_BITS_GUARD})")
 
 
 def betti(x: MotiveClass) -> LaurentInt:

@@ -11,7 +11,8 @@ pure Tate wherever coefficient classes actually meet.
 from __future__ import annotations
 
 from .laurent import LaurentInt, _check_int, range_sum
-from .motive import MotiveClass, UnsupportedProductError, lambda_binomial
+from .motive import (MotiveClass, UnsupportedProductError, _tate_combination,
+                     lambda_binomial)
 
 
 #: highest truncation order the series constructors build; far above the
@@ -72,18 +73,21 @@ class MotiveSeries:
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
-            acc = MotiveClass.zero(self._g)
+            parts = []  # the T^k coefficient as (class, Tate polynomial) parts
             for i in range(k + 1):
                 x, y = self._coeffs[i], other._coeffs[k - i]
                 if not x or not y:
                     continue
-                if not (x.is_pure_tate() or y.is_pure_tate()):
+                if y.is_pure_tate():
+                    parts.append((x, y.component(0)))
+                elif x.is_pure_tate():
+                    parts.append((y, x.component(0)))
+                else:
                     raise UnsupportedProductError(
                         f"coefficients at T^{i} and T^{k - i} both carry "
                         "exterior parts; the Cauchy product leaves the "
                         "λ-linear module")
-                acc = acc + x * y
-            out.append(acc)
+            out.append(_tate_combination(self._g, parts))
         return MotiveSeries(self._g, out)
 
     def __repr__(self) -> str:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import motiveforge
-from motiveforge import cli, moduli, series
+from motiveforge import cli, moduli, realize, series
 from motiveforge.macdonald import sym_power_curve
 from motiveforge.motive import MotiveClass
 
@@ -459,24 +460,17 @@ def test_output_keeps_the_interpreter_digit_limit(monkeypatch, capsys):
     # INPUT_DIGIT_GUARD bounds what is read; the interpreter's int-string
     # limit, left in force, bounds what is printed.  A 4 290-digit
     # coefficient on λ_100 at genus 200 realizes to C(400, 100)·c, 4 387
-    # digits; λ_200 terms at a 4 300-digit genus to some 860 000 digits
-    # each.  Either run exits 1 with nothing on stdout, not a long print.
+    # digits, and exits 1 with nothing on stdout, not a long print.  (Large
+    # ranks stop earlier, at REALIZATION_BITS_GUARD: see the next test.)
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-string limit before Python 3.10.7")
-    big_genus = "9" * 4300
-    records = [
-        ('{"schema":"motive-class/v1","genus":200,'
-         f'"lambda":{{"100":{{"0":{"7" * 4290}}}}}}}'),
-        ('{"schema":"motive-class/v1","genus":' + big_genus
-         + ',"lambda":{"200":{' + ",".join(f'"{e}":1' for e in range(200))
-         + "}}}"),
-    ]
+    record = ('{"schema":"motive-class/v1","genus":200,'
+              f'"lambda":{{"100":{{"0":{"7" * 4290}}}}}}}')
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
-        for blob, fmt in [(records[0], "json"), (records[0], "text"),
-                          (records[0], "csv"), (records[1], "csv")]:
-            assert _realize_stdin(monkeypatch, blob, "--format", fmt) == 1
+        for fmt in ("json", "text", "csv"):
+            assert _realize_stdin(monkeypatch, record, "--format", fmt) == 1
             out, err = capsys.readouterr()
             # 3.10 spells the limit "(4300)", later releases "(4300 digits)"
             assert out == "" and err.startswith(
@@ -485,3 +479,23 @@ def test_output_keeps_the_interpreter_digit_limit(monkeypatch, capsys):
             assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_realization_size_guard(monkeypatch, capsys):
+    # λ_200 terms at a 4 300-digit genus (14 285 bits) would realize to
+    # ranks of some 860 000 digits: --hodge ran 72 s before the output
+    # limit stopped it.  The guard refuses it before any binomial.
+    record = ('{"schema":"motive-class/v1","genus":' + "9" * 4300
+              + ',"lambda":{"200":{' + ",".join(f'"{e}":1' for e in range(200))
+              + "}}}")
+    for mode in ("--hodge", "--betti"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(record))
+        start = time.perf_counter()
+        assert cli.main(["realize", mode]) == 1, mode
+        assert time.perf_counter() - start < 1.0, mode
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "motiveforge: RealizationSizeError: top λ-index 200 at a genus "
+            "of 14285 bits gives binomials of about 2857000 bits, above the "
+            f"guard REALIZATION_BITS_GUARD ({realize.REALIZATION_BITS_GUARD})"
+            "\n"), mode

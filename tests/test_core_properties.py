@@ -3,7 +3,8 @@ laws of ``LaurentInt``, the module laws of ``MotiveClass`` over it, duality
 as an involution, exact-division round trips, ``series_div`` against
 the schoolbook oracle of ``tests/test_division.py``, and the private
 combination kernel and weight match of ``motive.py`` against public class
-arithmetic."""
+arithmetic, and the canonical form of every class operator's result, which
+is built unchecked by ``MotiveClass._raw``."""
 
 import pytest
 
@@ -126,3 +127,42 @@ def test_weight_match_matches_weight_parts(pair):
     weights = sorted(set(x.weights()) | set(y.weights()))
     assert _weight_match(x, y) == {
         m: x.weight_part(m) == y.weight_part(m) for m in weights}
+
+
+def _assert_canonical(x):
+    """``x`` is what the validating constructor makes of its own map:
+    indices in 0..g, no zero component, no zero coefficient."""
+    g = x.genus
+    comps = x.components()
+    for a, p in comps.items():
+        assert 0 <= a <= g and p, (a, p)
+        assert all(c for _, c in p.items()), (a, p)
+    assert x == MotiveClass(g, {a: dict(p.items()) for a, p in comps.items()})
+
+
+@bounded
+@given(st.integers(1, 5).flatmap(lambda g: st.tuples(classes(g), classes(g))),
+       laurents, st.integers(-3, 3), nonzero_laurents, st.integers(-12, 12))
+def test_class_operators_return_canonical_classes(pair, t, n, unit_den, m):
+    x, y = pair
+    g = x.genus
+    tate = MotiveClass(g, {0: t})
+    # series_div needs a unit bottom coefficient
+    lo = unit_den.min_exp
+    den = unit_den + LaurentInt.monomial(lo, 1 - unit_den.coeff(lo))
+    results = [x + y, x - y, -x, x * t, t * x, x * n, n * x, x * tate,
+               tate * x, x.dual(), x.twist(n), (x * unit_den).exact_div(
+                   unit_den), x.series_div(den, 6)[0], x.truncate_below(m),
+               x.weight_part(m)]
+    for r in results:
+        _assert_canonical(r)
+    assert not x - x and x - x == MotiveClass.zero(g)
+    assert x + y - y == x and -(-x) == x and x.dual().dual() == x
+
+
+def test_monomial_is_checked_and_canonical():
+    assert not LaurentInt.monomial(5, 0) and LaurentInt.monomial(5, 0) == 0
+    assert LaurentInt.monomial(-2, 3) == LaurentInt({-2: 3})
+    for bad in ((True, 1), (1.0, 1), (1, False), (1, 2.0)):
+        with pytest.raises(TypeError, match="^bad LaurentInt entry"):
+            LaurentInt.monomial(*bad)

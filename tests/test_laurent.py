@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,27 @@ def test_scale_exponents_and_evaluate():
     assert (1 + L ** 2).evaluate(2) == 5
     with pytest.raises(ValueError):
         p.scale_exponents(0)
+
+
+def test_evaluate_matches_the_term_by_term_fractions():
+    rng = random.Random(20)
+    for _ in range(200):
+        p = LaurentInt({rng.randint(-6, 6): rng.randint(-9, 9)
+                        for _ in range(rng.randint(0, 5))})
+        for v in range(-4, 5):
+            if v == 0 and p and p.min_exp < 0:
+                with pytest.raises(ZeroDivisionError):
+                    p.evaluate(v)
+                continue
+            ref = sum((c * Fraction(v) ** e for e, c in p.items()),
+                      Fraction(0))
+            got = p.evaluate(v)
+            assert got == ref, (p, v)
+            assert type(got) is (int if ref.denominator == 1 else Fraction)
+    empty = LaurentInt()
+    assert empty.evaluate(0) == 0 and type(empty.evaluate(3)) is int
+    assert LaurentInt({-1: 2, 1: 2}).evaluate(2) == 5
+    assert LaurentInt({-2: 1}).evaluate(-2) == Fraction(1, 4)
 
 
 def test_exact_div_worked_example():

@@ -85,8 +85,47 @@ def test_index_range_error():
 
 def test_product_rejects_two_exterior_factors():
     f = binomial_series(2, 4)
-    with pytest.raises(UnsupportedProductError):
+    with pytest.raises(UnsupportedProductError, match=(
+            r"^coefficients at T\^1 and T\^1 both carry exterior parts; the "
+            "Cauchy product leaves the λ-linear module$")):
         f * f
+
+
+def _cauchy(f, h):
+    """The truncated product of two series by the definition: coefficient
+    maps multiplied term by term in plain dicts, one factor pure Tate, and
+    each T^k coefficient built by the public constructor.  It shares no code
+    with ``MotiveSeries.__mul__`` or the class operators."""
+    g = f.genus
+    out = []
+    for k in range(min(f.order, h.order) + 1):
+        acc = {}
+        for i in range(k + 1):
+            x, y = f[i], h[k - i]
+            if not x.is_pure_tate():
+                x, y = y, x
+            assert x.is_pure_tate() or not y, (i, k - i)
+            for a, p in y.components().items():
+                row = acc.setdefault(a, {})
+                for e1, c1 in x.component(0).items():
+                    for e2, c2 in p.items():
+                        row[e1 + e2] = row.get(e1 + e2, 0) + c1 * c2
+        out.append(MotiveClass(g, acc))
+    return out
+
+
+@pytest.mark.parametrize("genus", range(1, 6))
+def test_product_matches_the_cauchy_definition(genus):
+    pairs = [(binomial_series(genus, n), projective_series(genus, m))
+             for n in (0, 3, 2 * genus, 12) for m in (1, 5, 12)]
+    pairs += [(geometric(u, genus, n), geometric(v, genus, m))
+              for u in (-2, 0, 1, 3) for v in (-1, 0, 2)
+              for n, m in ((12, 12), (4, 9))]
+    pairs += [(projective_series(genus, 12), binomial_series(genus, 12))]
+    for f, h in pairs:
+        got = f * h
+        assert got.order == min(f.order, h.order)
+        assert [got[k] for k in range(got.order + 1)] == _cauchy(f, h)
 
 
 def test_big_f_series_value_g1():
