@@ -22,18 +22,26 @@ flip chain, the powers from g on by the same Riemann–Roch builder.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 from .laurent import LaurentInt, _check_int, range_sum
-from .motive import MotiveClass, _folded_binomial, _tate_combination
+from .motive import MotiveClass, _tate_combination, lambda_binomial
 from .series import _check_order, binomial_series, projective_series
 
 #: work ceiling for the direct enumeration
 ENUMERATION_GUARD = 10_000_000
 
+#: most bits of the bound on a ``sym_power_ranks`` entry: 2^14284 < 10^4300,
+#: the interpreter's default int-to-str limit
+RANK_BITS_GUARD = 14_284
+
 
 class EnumerationGuardError(RuntimeError):
     """Direct invariant counting exceeded the enumeration guard."""
+
+
+class RankSizeError(ValueError):
+    """Symmetric-power ranks whose size bound exceeds RANK_BITS_GUARD."""
 
 
 def curve_ranks(genus: int) -> dict[int, int]:
@@ -64,7 +72,7 @@ def sym_power_curve(genus: int, n: int) -> MotiveClass:
     if n < genus:
         return (binomial_series(genus, n) * projective_series(genus, n))[n]
     mirror = 2 * genus - 2 - n
-    return _rr_wall(genus, n, _folded_binomial(0, 0, genus),
+    return _rr_wall(genus, n, lambda_binomial(0, 0, genus),
                     sym_power_curve(genus, mirror) if mirror >= 0 else None)
 
 
@@ -89,7 +97,7 @@ def sym_power_walls(genus: int, top: int) -> list[MotiveClass]:
     _check_int(top, "symmetric power index", 0)
     _check_order(top)
     walls = [sym_power_curve(genus, n) for n in range(min(top + 1, genus))]
-    jac = _folded_binomial(0, 0, genus)
+    jac = lambda_binomial(0, 0, genus)
     for n in range(genus, top + 1):
         mirror = 2 * genus - 2 - n
         walls.append(_rr_wall(genus, n, jac,
@@ -114,11 +122,18 @@ def sym_power_ranks(b: dict[int, int], n: int) -> dict[int, int]:
     prod_odd (1 + t^i T)^(b_i) / prod_even (1 - t^i T)^(b_i),
     returning {degree: rank} with zero entries dropped.  The power n is a
     truncation order, bounded by ``series.SERIES_ORDER_GUARD`` like those of
-    the motive-level route.
+    the motive-level route.  Every entry is at most C(R + n - 1, n), R the
+    rank total: a bound n·bits(R + n - 1) - bits(n!) + 1 on its bits above
+    ``RANK_BITS_GUARD`` is refused before the product.
     """
     _check_int(n, "symmetric power index", 0)
     _check_order(n)
     ranks = _validated_ranks(b)
+    bits = (n * (sum(ranks.values()) + n - 1).bit_length()
+            - factorial(n).bit_length() + 1)
+    if bits > RANK_BITS_GUARD:
+        raise RankSizeError(f"ranks of S^{n} may need {bits} bits, above the "
+                            f"guard RANK_BITS_GUARD ({RANK_BITS_GUARD})")
     series: list[LaurentInt] = [LaurentInt(1)] + [LaurentInt()] * n
     for deg in sorted(ranks):
         cnt = ranks[deg]

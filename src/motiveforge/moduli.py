@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentInt, _check_int, range_sum
-from .motive import (MotiveClass, _folded_binomial, _tate_combination,
-                     _weight_match, lambda_binomial)
+from .motive import (MotiveClass, _tate_combination, _weight_match,
+                     lambda_binomial)
 from .macdonald import sym_power_curve, sym_power_walls
 from .series import _check_order
 
@@ -189,9 +189,8 @@ def ss_preimage(genus: int) -> MotiveClass:
     is J·([P^(g-1)]·[P^(2g-2)]), with J = Σ_a λ_a the Jacobian."""
     _check_int(genus, "genus", 2)
     _check_order(2 * genus - 1)
-    return _tate_combination(genus, [
-        (_folded_binomial(0, 0, genus),
-         range_sum(0, genus - 1) * range_sum(0, 2 * genus - 2))])
+    return lambda_binomial(0, 0, genus) * (
+        range_sum(0, genus - 1) * range_sum(0, 2 * genus - 2))
 
 
 @dataclass(frozen=True)
@@ -309,13 +308,11 @@ def n0_even(genus: int) -> PipelineReport:
     mo = _chain(genus, d, sym_power_walls(genus, 2 * genus - 2))
     odd = n0_odd(genus)
     ss = ss_preimage(genus)
-    # the kernel, not the class operators, for the two largest sums: each
-    # operator call re-validates its result through the constructor
     mos = _tate_combination(genus, [(mo, LaurentInt(1)),
                                     (ss, -lef ** (genus - 1))])
     # [P^(2g-1)] = (1 - L^(2g))/(1 - L): the same truncated series and
     # flags, as the remainder only gains the unit factor 1 - L
-    stable, flags = _tate_combination(genus, [(mos, 1 - lef)]).series_div(
+    stable, flags = (mos * (1 - lef)).series_div(
         1 - lef ** (2 * genus), 8 * genus)
     kum_twisted = kummer(genus) * LaurentInt.monomial(2 * genus - 3)
     total = stable + kum_twisted
@@ -325,15 +322,15 @@ def n0_even(genus: int) -> PipelineReport:
 
     # the two displayed closed forms, cross-multiplied by
     # (1-L)²(1-L²) = 1 - 2L + 2L³ - L⁴ and compared weight by weight:
-    # (1+L)^(h¹) and J = (1+1)^(h¹) are ``_folded_binomial`` classes
+    # (1+L)^(h¹) and J = (1+1)^(h¹) are ``lambda_binomial`` classes
     g = genus
     den = LaurentInt({0: 1, 1: -2, 3: 2, 4: -1})
-    head = (_folded_binomial(0, 1, g), 1 - lef ** (2 * g))
-    jac = _folded_binomial(0, 0, g)
+    head = (lambda_binomial(0, 1, g), 1 - lef ** (2 * g))
+    jac = lambda_binomial(0, 0, g)
     # for the last even pair space
     mo_tail = -(LaurentInt.monomial(g + 1) * (1 + lef ** g)
                 * (1 + LaurentInt.monomial(g - 2)))
-    mo_match = _weight_match(_tate_combination(g, [(mo, den)]),
+    mo_match = _weight_match(mo * den,
                              _tate_combination(g, [head, (jac, mo_tail)]))
     # for the stable-locus quotient
     kernel = (lef * (1 + lef ** g) * (1 + LaurentInt.monomial(g - 2))
@@ -341,8 +338,7 @@ def n0_even(genus: int) -> PipelineReport:
               * (1 - lef ** (2 * g - 1)) * (1 - lef ** 2))
     stable_tail = -LaurentInt.monomial(g) * kernel
     stable_match = _weight_match(
-        _tate_combination(g, [(mos, den)]),
-        _tate_combination(g, [head, (jac, stable_tail)]))
+        mos * den, _tate_combination(g, [head, (jac, stable_tail)]))
 
     stages = (
         Stage("m_omega", "class", mo),

@@ -6,8 +6,9 @@ A class is a genus-tagged sparse map {a: LaurentInt} representing
 0..g with the Jacobian duality rewrite ``λ_a = λ_{2g-a} · L^{a-g}`` for a > g,
 so equality of classes is equality of the stored maps.  The term λ_a·L^b is
 homogeneous of weight a + 2b and has rank C(2g, a).  The pipelines read no
-stored map: they sum classes with ``_tate_combination``, take their
-binomials from ``_folded_binomial`` and compare with ``_weight_match``.
+stored map: a product ``x * t`` by a Tate polynomial runs through the one
+kernel ``_tate_combination``, which also sums several such parts;
+``lambda_binomial`` is the one Newton binomial, and ``_weight_match`` compares.
 
 Canonical in, ``_raw`` out: the constructor validates and folds external
 input once; every operation whose inputs are already classes or
@@ -169,11 +170,7 @@ class MotiveClass:
             other = LaurentInt(other)
         if not isinstance(other, LaurentInt):
             return NotImplemented
-        if not other:
-            return MotiveClass._raw(self._g, {})
-        # Z[L, L^-1] has no zero divisors: no component vanishes
-        return MotiveClass._raw(
-            self._g, {a: p * other for a, p in self._lam.items()})
+        return _tate_combination(self._g, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -298,22 +295,15 @@ class MotiveClass:
 def lambda_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:
     """The Newton binomial (A+B)^(h¹C) with A = L^exp_a, B = L^exp_b.
 
-    Expands to ``sum_a λ_a · A^(2g-a) · B^a`` and canonicalizes.  Swapping the
-    arguments is NOT symmetric; instead the two orders are related by
-    ``(A+B)^M = L^-g · (B·L + A)^M``.
+    Expands to ``sum_a λ_a · A^(2g-a) · B^a``, folded directly: with
+    e_a = exp_a·(2g-a) + exp_b·a, λ_a carries L^(e_a) and, for a < g,
+    L^(e_(2g-a) + g-a), never the same exponent: they differ by
+    (g-a)·(2exp_a - 2exp_b - 1).  Swapping the arguments is NOT symmetric;
+    instead the two orders are related by ``(A+B)^M = L^-g · (B·L + A)^M``.
     """
     _check_int(exp_a, "exponent of A")
     _check_int(exp_b, "exponent of B")
     _check_int(genus, "genus", 1)
-    raw = {a: LaurentInt.monomial(exp_a * (2 * genus - a) + exp_b * a)
-           for a in range(2 * genus + 1)}
-    return MotiveClass(genus, raw)
-
-
-def _folded_binomial(exp_a: int, exp_b: int, genus: int) -> MotiveClass:
-    """``lambda_binomial``, unchecked and folded: with e_a = exp_a·(2g-a) +
-    exp_b·a, λ_a carries L^(e_a) and, for a < g, L^(e_(2g-a) + g-a), never
-    the same exponent: they differ by (g-a)·(2exp_a - 2exp_b - 1)."""
     g = genus
     lam = {a: LaurentInt._raw({exp_a * (2 * g - a) + exp_b * a: 1,
                                exp_a * a + exp_b * (2 * g - a) + g - a: 1})

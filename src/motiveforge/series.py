@@ -116,13 +116,9 @@ def binomial_series(genus: int, order: int) -> MotiveSeries:
     above 2g."""
     _check_int(genus, "genus", 1)
     _check_order(order)
-    coeffs = []
-    for a in range(order + 1):
-        if a <= 2 * genus:
-            coeffs.append(MotiveClass(genus, {a: 1}))
-        else:
-            coeffs.append(MotiveClass.zero(genus))
-    return MotiveSeries(genus, coeffs)
+    return MotiveSeries(genus, [
+        MotiveClass(genus, {a: 1} if a <= 2 * genus else {})
+        for a in range(order + 1)])
 
 
 def projective_series(genus: int, order: int) -> MotiveSeries:
@@ -141,12 +137,13 @@ def big_f(e1: int, e2: int, e3: int, genus: int, mode: str = "series") -> Motive
     ``mode="series"`` extracts the coefficient from the truncated product of
     kernels; ``mode="closed"`` evaluates the partial-fraction identity over
     the common denominator (a-b)(a-c)(b-c) with a single exact division,
-    which requires the three exponents to be pairwise distinct.  The two
-    modes agree wherever both are defined.
+    which requires the three exponents to be pairwise distinct.  Both modes
+    refuse 2g above ``SERIES_ORDER_GUARD`` and agree where both are defined.
     """
     for e in (e1, e2, e3):
         _check_int(e, "kernel exponent")
     _check_int(genus, "genus", 1)
+    _check_order(2 * genus)
     if mode == "series":
         n = 2 * genus
         f = binomial_series(genus, n)

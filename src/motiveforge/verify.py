@@ -499,9 +499,10 @@ def _check_hodge_specialization(ctx):
     n = max(200, min(ctx.cases, 1000))
     for _ in range(n):
         x = _random_class(rng)
-        _require(realize.hodge(x).specialize_diagonal() == realize.betti(x),
+        h = realize.hodge(x)
+        _require(h.specialize_diagonal() == realize.betti(x),
                  "x = y = t specialization")
-        _require(realize.hodge(x).swap() == realize.hodge(x), "x <-> y symmetry")
+        _require(h.swap() == h, "x <-> y symmetry")
     return "pass", f"{n} random classes (x=y=t recovers Betti; x<->y symmetry)"
 
 

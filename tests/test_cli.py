@@ -499,3 +499,36 @@ def test_realization_size_guard(monkeypatch, capsys):
             "of 14285 bits gives binomials of about 2857000 bits, above the "
             f"guard REALIZATION_BITS_GUARD ({realize.REALIZATION_BITS_GUARD})"
             "\n"), mode
+
+
+def test_big_f_order_guard_covers_closed_mode(capsys):
+    # closed mode at genus 2000 ran 15.5 s and printed 230 MB: every mode
+    # now refuses an order 2g above SERIES_ORDER_GUARD before any work
+    refusal = ("motiveforge: SeriesOrderError: series order 1002 exceeds "
+               "the guard 1000\n")
+    big_f = ["big-f", "--genus", "501", "--exponents", "0", "1", "2"]
+    for mode in ("closed", "series", "both"):
+        start = time.perf_counter()
+        assert cli.main(big_f + ["--mode", mode]) == 1, mode
+        assert time.perf_counter() - start < 1.0, mode
+        assert capsys.readouterr() == ("", refusal), mode
+    res = run_cli(*big_f, "--mode", "closed")
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", refusal)
+
+
+def test_sym_power_rank_size_guard(capsys):
+    # -n 200 with a 4 000-digit rank ran 38 s before the output digit limit
+    # refused its result; the guard refuses it before the product
+    ranks = '{"1": ' + "9" * 4000 + "}"
+    for n in ("2", "50", "200"):
+        start = time.perf_counter()
+        assert cli.main(["sym-power", "-n", n, "--ranks", ranks]) == 1, n
+        assert time.perf_counter() - start < 1.0, n
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, n
+        assert err.startswith("motiveforge: RankSizeError: "), n
+    # the first power is the rank itself, printable and printed as before
+    assert cli.main(["sym-power", "-n", "1", "--ranks", ranks]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "schema": "graded-ranks/v1",\n  "ranks": {\n    "1": '
+        + "9" * 4000 + "\n  }\n}\n")

@@ -1,10 +1,12 @@
 """Property tests of the core types on random inputs (hypothesis): the ring
 laws of ``LaurentInt``, the module laws of ``MotiveClass`` over it, duality
 as an involution, exact-division round trips, ``series_div`` against
-the schoolbook oracle of ``tests/test_division.py``, and the private
-combination kernel and weight match of ``motive.py`` against public class
-arithmetic, and the canonical form of every class operator's result, which
-is built unchecked by ``MotiveClass._raw``."""
+the schoolbook oracle of ``tests/test_division.py``, the private
+combination kernel of ``motive.py`` (which ``*`` by a Tate factor runs
+through) against a per-component product through the validating
+constructor, its weight match against ``weight_part``, and the canonical
+form of every class operator's result, which is built unchecked by
+``MotiveClass._raw``."""
 
 import pytest
 
@@ -108,13 +110,20 @@ def combinations(draw):
     return g, parts
 
 
+def _times_tate(x, t):
+    """x·t built per component through the validating constructor, not by
+    ``*``, which runs through the kernel under test."""
+    return MotiveClass(x.genus, {a: x.component(a) * t
+                                 for a in x.lambda_indices()})
+
+
 @bounded
 @given(combinations())
 def test_tate_combination_matches_class_arithmetic(case):
     g, parts = case
     expected = MotiveClass.zero(g)
     for x, t in parts:
-        expected = expected + x * t
+        expected = expected + _times_tate(x, t)
     got = _tate_combination(g, parts)
     assert got == expected
     assert all(p for p in got.components().values())
@@ -158,6 +167,22 @@ def test_class_operators_return_canonical_classes(pair, t, n, unit_den, m):
         _assert_canonical(r)
     assert not x - x and x - x == MotiveClass.zero(g)
     assert x + y - y == x and -(-x) == x and x.dual().dual() == x
+
+
+@bounded
+@given(st.integers(1, 5).flatmap(classes), laurents, st.integers(-9, 9))
+def test_product_by_a_tate_factor_matches_the_per_component_oracle(x, t, n):
+    # a zero factor, an int, a Laurent polynomial and a pure-Tate class on
+    # either side: each runs through the kernel, and each result is canonical
+    g = x.genus
+    tate = MotiveClass(g, {0: t})
+    cases = [(x * LaurentInt(), LaurentInt()), (x * 0, LaurentInt()),
+             (x * n, LaurentInt(n)), (n * x, LaurentInt(n)), (x * t, t),
+             (x * tate, t), (tate * x, t)]
+    for got, factor in cases:
+        assert got == _times_tate(x, factor)
+        _assert_canonical(got)
+    assert not x * LaurentInt() and not x * tate * 0
 
 
 def test_monomial_is_checked_and_canonical():

@@ -1,11 +1,13 @@
+from math import comb
+
 import pytest
 
 from motiveforge import macdonald, series
 from motiveforge.laurent import L
 from motiveforge.macdonald import (ENUMERATION_GUARD, EnumerationGuardError,
-                                   curve_ranks, sym_power_bruteforce,
-                                   sym_power_curve, sym_power_ranks,
-                                   sym_power_walls)
+                                   RankSizeError, curve_ranks,
+                                   sym_power_bruteforce, sym_power_curve,
+                                   sym_power_ranks, sym_power_walls)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.moduli import range_sum
 from motiveforge.series import (MotiveSeries, SeriesOrderError,
@@ -143,6 +145,27 @@ def test_sym_power_ranks_order_guard(monkeypatch):
         assert fn({0: 1, 2: 1}, 5) == {0: 1, 2: 1, 4: 1, 6: 1, 8: 1, 10: 1}
         with pytest.raises(SeriesOrderError):
             fn({0: 1, 2: 1}, 6)
+
+
+def test_sym_power_ranks_size_guard(monkeypatch):
+    # a 4 000-digit rank (13 288 bits) has a printable first power; its
+    # higher powers are refused before the product, not after it
+    big = int("9" * 4000)
+    assert sym_power_ranks({1: big}, 1) == {1: big}
+    for n in (2, 50, 200, 1000):
+        with pytest.raises(RankSizeError, match="RANK_BITS_GUARD"):
+            sym_power_ranks({1: big}, n)
+    # the bound is an upper bound: a guard one bit below the binomial
+    # C(R + n - 1, n) that bounds every entry refuses the case
+    for b, n in (({0: 3}, 4), ({1: 5, 2: 2}, 3), ({0: 40, 3: 7}, 6)):
+        total = sum(b.values())
+        ranks = sym_power_ranks(b, n)
+        assert max(ranks.values()) <= comb(total + n - 1, n)
+        monkeypatch.setattr(macdonald, "RANK_BITS_GUARD",
+                            comb(total + n - 1, n).bit_length() - 1)
+        with pytest.raises(RankSizeError):
+            sym_power_ranks(b, n)
+        monkeypatch.undo()
 
 
 def test_bruteforce_matches_ranks():

@@ -4,8 +4,8 @@ import pytest
 
 from motiveforge.laurent import ExactDivisionError, L, LaurentInt
 from motiveforge.motive import (GenusMismatchError, MotiveClass,
-                                UnsupportedProductError, _folded_binomial,
-                                _tate_combination, lambda_binomial)
+                                UnsupportedProductError, _tate_combination,
+                                lambda_binomial)
 
 
 def test_canonicalize_folds_high_indices():
@@ -135,13 +135,15 @@ def test_lambda_binomial_g2():
         assert lambda_binomial(0, 0, g).rank() == 2 ** (2 * g)
 
 
-def test_folded_binomial_matches_lambda_binomial():
-    # the pipelines' direct fold against the constructor's fold
+def test_lambda_binomial_matches_the_unfolded_expansion():
+    # the direct fold against the constructor's fold of all 2g + 1 terms
     for g in range(1, 6):
         for ea in range(-2, 3):
             for eb in range(-2, 3):
-                assert (_folded_binomial(ea, eb, g)
-                        == lambda_binomial(ea, eb, g)), (g, ea, eb)
+                unfolded = MotiveClass(g, {
+                    a: LaurentInt.monomial(ea * (2 * g - a) + eb * a)
+                    for a in range(2 * g + 1)})
+                assert lambda_binomial(ea, eb, g) == unfolded, (g, ea, eb)
 
 
 def test_tate_combination_cancels_to_the_zero_class():
@@ -160,7 +162,8 @@ def test_tate_combination_with_coinciding_shifts():
     factor = L ** 4 - L ** (12 - 2 * 4)
     assert _tate_combination(3, [(x, factor)]) == MotiveClass.zero(3)
     assert (_tate_combination(3, [(x, L ** 4 + L ** 4)])
-            == x * LaurentInt.monomial(4, 2))
+            == MotiveClass(3, {a: x.component(a) * LaurentInt.monomial(4, 2)
+                               for a in x.lambda_indices()}))
 
 
 def test_main_lemma_identity(registry_passes):

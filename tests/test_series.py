@@ -154,6 +154,18 @@ def test_big_f_rejects_unknown_mode():
         big_f(0, 1, 2, 2, "fast")
 
 
+def test_big_f_modes_share_the_order_guard(monkeypatch):
+    # closed mode does no series work, but its size grows with g² as the
+    # series mode's does: both refuse an order 2g above the guard at once
+    with pytest.raises(SeriesOrderError, match="^series order 1002 exceeds"):
+        big_f(0, 1, 2, 501, "closed")
+    monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 4)
+    for mode in ("series", "closed"):
+        assert big_f(0, 1, 2, 2, mode) == big_f(0, 1, 2, 2, "series")
+        with pytest.raises(SeriesOrderError):
+            big_f(0, 1, 2, 3, mode)
+
+
 def test_series_validates_genus_consistency():
     with pytest.raises(ValueError):
         MotiveSeries(2, [MotiveClass.one(3)])
