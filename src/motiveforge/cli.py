@@ -17,8 +17,7 @@ from typing import Callable, Iterable, NamedTuple
 from .laurent import ExactDivisionError, LaurentInt, _int_key
 from .motive import MotiveClass, UnsupportedProductError
 from .series import DegenerateDenominatorError, big_f
-from .macdonald import (EnumerationGuardError, sym_power_bruteforce,
-                        sym_power_curve, sym_power_ranks)
+from .macdonald import sym_power_curve, sym_power_ranks
 from . import moduli, realize, verify
 from .jacobians import decompose
 
@@ -36,8 +35,8 @@ class UsageError(Exception):
 # ValueError also covers json.JSONDecodeError, SeriesOrderError,
 # DivisorUnitError, GenusMismatchError and DecompositionError.
 _COMPUTE_ERRORS = (
-    ExactDivisionError, DegenerateDenominatorError, EnumerationGuardError,
-    UnsupportedProductError, moduli.PipelineIntegrityError, ValueError,
+    ExactDivisionError, DegenerateDenominatorError, UnsupportedProductError,
+    moduli.PipelineIntegrityError, ValueError,
 )
 
 
@@ -144,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--power", type=_int, required=True)
     p.add_argument("--ranks", metavar="JSON",
                    help="graded rank vector {degree: rank}; switches to rank level")
-    p.add_argument("--bruteforce", action="store_true",
-                   help="with --ranks: use the direct enumeration oracle")
 
     p = sub.add_parser("moduli", parents=[common],
                        help="pair-moduli and bundle-moduli classes")
@@ -214,15 +211,13 @@ def _run_sym_power(args) -> _Result:
         _reject(args, "sym-power --ranks", "genus")
         # a rank vector is read as its Poincaré polynomial: int ranks only
         poly = LaurentInt.from_coeff_json(_read_json(args.ranks))
-        fn = sym_power_bruteforce if args.bruteforce else sym_power_ranks
-        ranks = fn(dict(poly.items()), args.power)
+        ranks = sym_power_ranks(dict(poly.items()), args.power)
         rows = [(d, ranks[d]) for d in sorted(ranks)]
         return _Result(
             lambda: {"schema": "graded-ranks/v1",
                      "ranks": {str(d): r for d, r in rows}},
             lambda: "\n".join(f"{d}\t{r}" for d, r in rows),
             lambda: ("degree,rank", rows))
-    _reject(args, "sym-power without --ranks", "bruteforce")
     if args.genus is None:
         raise UsageError("sym-power needs --genus unless --ranks is given")
     return _class_result(sym_power_curve(args.genus, args.power))
@@ -237,15 +232,9 @@ def _run_moduli(args) -> _Result:
             moduli.pair_moduli(args.genus, args.degree, args.index))
     if args.parity is None:
         raise UsageError("moduli n0 needs --parity odd|even")
+    _reject(args, "moduli n0", "degree", "index")
     if args.parity == "odd":
-        _reject(args, "moduli n0 --parity odd", "index")
-        if args.degree is not None:
-            return _class_result(moduli.n0_odd_chain(args.genus, args.degree))
         return _class_result(moduli.n0_odd(args.genus))
-    if args.degree is not None:
-        raise UsageError("the even pipeline fixes degree 4g-2; "
-                         "--degree only applies to --parity odd")
-    _reject(args, "moduli n0 --parity even", "index")
     rep = moduli.n0_even(args.genus)
     return _Result(rep.to_json_dict, rep.render_text,
                    lambda: ("stage,field,value", rep.csv_rows()))

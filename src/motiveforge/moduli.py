@@ -33,8 +33,12 @@ CHAIN_DEGREE_GUARD = 10_000
 
 #: largest genus the closed forms (``n0_odd_closed``, ``kummer``,
 #: ``realize.hn_closed`` and ``realize.hodge_closed``) and the pipelines that
-#: read them build; ``hodge_closed``, the largest, takes about 0.2 s at 200
-#: on a shared 2-vCPU host
+#: read them build.  The closed forms take at most about 0.2 s at 200, but
+#: the pipelines it admits cost far more (Python 3.11.7, shared 2-vCPU host):
+#: the first ``n0_odd(200)`` builds its flip chain, about g^3 in time
+#: (``n0_odd_chain``: 0.04, 0.33 and 1.3 s at 32, 64 and 100), so
+#: ``jacobians --genus 200 --index 3`` takes about 13 s and 405 MB peak RSS;
+#: ``n0_even(125)``, the series order guard's ceiling, takes about 5.6 s
 CLOSED_GENUS_GUARD = 200
 
 #: genera whose verified odd class ``n0_odd`` keeps for the process

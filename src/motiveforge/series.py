@@ -11,8 +11,8 @@ pure Tate wherever coefficient classes actually meet.
 from __future__ import annotations
 
 from .laurent import LaurentInt, _check_int, range_sum
-from .motive import (MotiveClass, UnsupportedProductError, _tate_combination,
-                     lambda_binomial)
+from .motive import (GenusMismatchError, MotiveClass, UnsupportedProductError,
+                     _tate_combination, lambda_binomial)
 
 
 #: highest truncation order the series constructors build; far above the
@@ -69,7 +69,8 @@ class MotiveSeries:
         if not isinstance(other, MotiveSeries):
             return NotImplemented
         if self._g != other._g:
-            raise ValueError("series genus mismatch")
+            raise GenusMismatchError(
+                f"series genus mismatch: {self._g} vs {other._g}")
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):

@@ -11,7 +11,8 @@ import pytest
 
 import motiveforge
 from motiveforge import cli, moduli, realize, series
-from motiveforge.macdonald import sym_power_curve
+from motiveforge.macdonald import (sym_power_bruteforce, sym_power_curve,
+                                   sym_power_ranks)
 from motiveforge.motive import MotiveClass
 
 # the child process runs the package this test imported
@@ -47,9 +48,9 @@ def test_sym_power_rank_table():
     assert res.returncode == 0
     assert res.stdout.splitlines() == [
         "degree,rank", "0,1", "1,4", "2,7", "3,4", "4,1"]
-    brute = run_cli("sym-power", "-n", "2", "--ranks", '{"0":1,"1":4,"2":1}',
-                    "--bruteforce", "--format", "csv")
-    assert brute.stdout == res.stdout
+    # the enumeration oracle is a library function, not a command-line route
+    assert sym_power_bruteforce({0: 1, 1: 4, 2: 1}, 2) == {
+        0: 1, 1: 4, 2: 7, 3: 4, 4: 1}
 
 
 def test_realize_betti_pipe():
@@ -129,8 +130,6 @@ _FORMS = {
     "moduli-pairs": ["moduli", "pairs", "--genus", "2", "--degree", "6",
                      "--index", "2"],
     "moduli-n0-odd": ["moduli", "n0", "--genus", "3", "--parity", "odd"],
-    "moduli-n0-odd-degree": ["moduli", "n0", "--genus", "2", "--parity", "odd",
-                             "--degree", "7"],
     "moduli-n0-even": ["moduli", "n0", "--genus", "2", "--parity", "even"],
     "realize-betti": ["realize", "--betti", "--in", "CLASS"],
     "realize-betti-level": ["realize", "--betti", "--level", "--in", "CLASS"],
@@ -162,9 +161,6 @@ _DIGESTS = {
     ("moduli-n0-odd", "json"): (0, "0a5659fee84df8317afca8befa1c4f04a69a6d5addfa1a544fc7d37886bab56a"),
     ("moduli-n0-odd", "text"): (0, "9b14f47731ea7187bf59a3c6abddee9895647d482758023c89a4a154b013045c"),
     ("moduli-n0-odd", "csv"): (0, "66449556d58fed851acbe8a495306a3d10897f68ecc238c12d19faed1d2b0db8"),
-    ("moduli-n0-odd-degree", "json"): (0, "03054dbfb90d905c41e5aaa420ec64dd8107594161d81723b84d0e395ef09589"),
-    ("moduli-n0-odd-degree", "text"): (0, "1aeb61ddcad136a2c9da42db5bf61d55c1c5eac517bc475c042d93c68a558aa0"),
-    ("moduli-n0-odd-degree", "csv"): (0, "941fb82e28a2f2f58f5793e5a39e8596b4ef50a7420be9d3620aac02e252af02"),
     ("moduli-n0-even", "json"): (0, "89e7d2090ee60bbbbca77d8dd8fc2f370d1230f2a223ae24f683dc9adee1a7bb"),
     ("moduli-n0-even", "text"): (0, "d24464849c7b1759b892ee7e5ecb88e7900ce93d1d730239556da359cba6dabb"),
     ("moduli-n0-even", "csv"): (0, "85554a296956698f6a1916b44bb7373d65ed58cd4a04892cb2da9c777bb251c3"),
@@ -253,7 +249,6 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                   "--index", "0"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6",
                   "--index", "2", "--parity", "even"),
-                 ("sym-power", "--genus", "2", "-n", "2", "--bruteforce"),
                  ("realize", "--betti", "--level", "--format", "csv"),
                  ("sym-power", "--genus", "2", "-n", "2",
                   "--ranks", '{"0":1,"1":4,"2":1}')):
@@ -279,6 +274,21 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2, args
         out, err = capsys.readouterr()
         assert out == "" and "error: argument" in err, err
+    # the parser also refuses a zero where a positive integer belongs, and
+    # --bruteforce, which no form takes
+    zero, brute = ("expected a positive integer, got 0",
+                   "unrecognized arguments: --bruteforce")
+    for args, why in ((("jacobians", "--genus", "0", "--index", "1"), zero),
+                      (("verify", "--suite", "series", "--cases", "0"), zero),
+                      (("sym-power", "--genus", "2", "-n", "2",
+                        "--bruteforce"), brute),
+                      (("sym-power", "-n", "2", "--ranks",
+                        '{"0":1,"1":4,"2":1}', "--bruteforce"), brute)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and why in err, err
     # rank vectors hold ints only
     for ranks in ('{"0":1.5}', '{"0":true}', '[1, 2]'):
         assert cli.main(["sym-power", "-n", "2", "--ranks", ranks]) == 1, ranks
@@ -347,11 +357,16 @@ def test_series_order_guard_is_a_bad_value(monkeypatch, capsys):
     assert err == ("motiveforge: SeriesOrderError: series order 5 exceeds "
                    "the guard 4\n")
     ranks = ["sym-power", "--ranks", '{"0": 1, "2": 1}']
-    for form in (ranks, ranks + ["--bruteforce"]):
-        assert cli.main(form + ["-n", "4"]) == 0
-        capsys.readouterr()
-        assert cli.main(form + ["-n", "5"]) == 1
-        assert capsys.readouterr().err == err
+    assert cli.main(ranks + ["-n", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(ranks + ["-n", "5"]) == 1
+    assert capsys.readouterr().err == err
+    # the enumeration oracle shares the guard
+    assert sym_power_bruteforce({0: 1, 2: 1}, 4) == sym_power_ranks(
+        {0: 1, 2: 1}, 4)
+    with pytest.raises(series.SeriesOrderError,
+                       match="^series order 5 exceeds the guard 4$"):
+        sym_power_bruteforce({0: 1, 2: 1}, 5)
     # the even pipeline divides at order 8g, so the guard bounds its genus
     even = ["moduli", "n0", "--parity", "even", "--genus"]
     assert cli.main(even + ["2"]) == 1
@@ -376,11 +391,13 @@ def test_chain_degree_guard_is_a_bad_value(monkeypatch, capsys):
         "starts at P^21, above the guard 20\n")
 
 
-def test_even_pipeline_rejects_degree_override():
-    res = run_cli("moduli", "n0", "--genus", "2", "--parity", "even",
-                  "--degree", "8")
-    assert res.returncode == 2
-    assert "usage error: the even pipeline" in res.stderr
+def test_even_pipeline_rejects_degree_override(capsys):
+    # neither class depends on a degree: moduli n0 takes none at any parity
+    for parity, degree in (("even", "8"), ("odd", "7")):
+        assert cli.main(["moduli", "n0", "--genus", "2", "--parity", parity,
+                         "--degree", degree]) == 2
+        assert capsys.readouterr() == (
+            "", "motiveforge: usage error: moduli n0 does not take --degree\n")
 
 
 def test_env_order_default():

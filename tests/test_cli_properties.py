@@ -3,7 +3,9 @@
 Class records (stdin and ``--in``) and ``sym-power --ranks`` vectors are
 built as JSON text, so they can hold what a dict cannot: repeated keys.
 Whatever the text, ``cli.main`` ends with an exit status, never a
-traceback, and a failure is one ``motiveforge:`` line on stderr.
+traceback, and a failure is one ``motiveforge:`` line on stderr.  The
+enumeration oracle ``sym_power_bruteforce``, which the command line does
+not run, is fuzzed on the same rank vectors in process.
 """
 
 import contextlib
@@ -17,6 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from motiveforge import cli  # noqa: E402
+from motiveforge.laurent import LaurentInt  # noqa: E402
+from motiveforge.macdonald import (EnumerationGuardError,  # noqa: E402
+                                   sym_power_bruteforce, sym_power_ranks)
 
 settings.register_profile("cli", deadline=None, database=None,
                           max_examples=150)
@@ -102,7 +107,21 @@ def test_realize_in_file_never_raises(tmp_path_factory, blob):
     _check(*_run(["realize", "--hodge", "--level", "--in", str(path)]))
 
 
-@given(RANKS, st.integers(0, 3), st.booleans())
-def test_sym_power_ranks_never_raises(ranks, power, bruteforce):
-    argv = ["sym-power", "-n", str(power), f"--ranks={ranks}"]
-    _check(*_run(argv + ["--bruteforce"] * bruteforce))
+@given(RANKS, st.integers(0, 3))
+def test_sym_power_ranks_never_raises(ranks, power):
+    _check(*_run(["sym-power", "-n", str(power), f"--ranks={ranks}"]))
+
+
+@given(RANKS, st.integers(0, 3))
+def test_sym_power_bruteforce_agrees_or_refuses(ranks, power):
+    # the enumeration oracle on the same vectors, read as the CLI reads them:
+    # it refuses with a type, or it agrees with Macdonald's formula
+    try:
+        b = dict(LaurentInt.from_coeff_json(cli._read_json(ranks)).items())
+    except ValueError:
+        return
+    try:
+        counted = sym_power_bruteforce(b, power)
+    except (EnumerationGuardError, ValueError):
+        return
+    assert counted == sym_power_ranks(b, power)

@@ -1,7 +1,8 @@
 import pytest
 
 from motiveforge.laurent import L, LaurentInt
-from motiveforge.motive import MotiveClass, UnsupportedProductError
+from motiveforge.motive import (GenusMismatchError, MotiveClass,
+                                UnsupportedProductError)
 from motiveforge import series
 from motiveforge.series import (DegenerateDenominatorError, MotiveSeries,
                                 SeriesOrderError, big_f, binomial_series,
@@ -22,6 +23,20 @@ def test_product_truncates_to_min_order():
     f = _tate_series(1, [1, 1, 1, 1, 1])
     g = _tate_series(1, [1, 1])
     assert (f * g).order == 1
+
+
+def test_product_refuses_a_genus_mismatch():
+    # the same type as every class operation raises for the same fault
+    with pytest.raises(GenusMismatchError,
+                       match="^series genus mismatch: 2 vs 3$"):
+        _tate_series(2, [1, 1]) * _tate_series(3, [1, 1])
+
+
+def test_product_with_a_non_series_is_not_implemented():
+    f = _tate_series(2, [1, 1])
+    assert f.__mul__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        f * 3
 
 
 def test_multiplicative_identity():
