@@ -3,13 +3,13 @@
 The pair-moduli chain M_0, ..., M_ω (ω = ⌊(d-1)/2⌋) starts at a projective
 space and changes by one flip term per wall; summing the terms gives the class
 of any M_i.  Dividing the last one by a projective-space factor yields the
-class of the odd-degree bundle moduli space, which is also computed from a
-closed binomial expression as an independent path.  The even-degree case runs
-the four-step pipeline: strictly-semistable preimage, Gysin subtraction,
-series division by the projective fibration, Kummer correction; its known
-rough edges (a division that fails to terminate, closed forms that disagree
-with the stepwise classes) are surfaced as diagnostics in the report rather
-than hidden.
+class of the odd-degree bundle moduli space; that chain is an oracle, and the
+class every reader gets is the closed binomial expression it is checked
+against.  The even-degree case runs the four-step pipeline:
+strictly-semistable preimage, Gysin subtraction, series division by the
+projective fibration, Kummer correction; its known rough edges (a division
+that fails to terminate, closed forms that disagree with the stepwise
+classes) are surfaced as diagnostics in the report rather than hidden.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ CHAIN_DEGREE_GUARD = 10_000
 
 #: largest genus the closed forms (``n0_odd_closed``, ``kummer``,
 #: ``realize.hn_closed`` and ``realize.hodge_closed``) and the pipelines that
-#: read them build.  The closed forms take at most about 0.2 s at 200, but
-#: the pipelines it admits cost far more (Python 3.11.7, shared 2-vCPU host):
-#: the first ``n0_odd(200)`` builds its flip chain, about g^3 in time
-#: (``n0_odd_chain``: 0.04, 0.33 and 1.3 s at 32, 64 and 100), so
-#: ``jacobians --genus 200 --index 3`` takes about 13 s and 405 MB peak RSS;
-#: ``n0_even(125)``, the series order guard's ceiling, takes about 5.6 s
+#: read them build.  At 200 the closed forms take at most about 0.16 s
+#: (Python 3.11.7, shared 2-vCPU host, best of 5), and
+#: ``jacobians --genus 200 --index 3`` about 0.16 s and 22 MB peak RSS as a
+#: command; ``n0_even(125)``, the series order guard's ceiling, takes about
+#: 2.6 s
 CLOSED_GENUS_GUARD = 200
 
-#: genera whose verified odd class ``n0_odd`` keeps for the process
+#: genera whose odd class ``n0_odd`` keeps for the process
 ODD_MEMO_SIZE = 32
 
 
@@ -156,27 +155,21 @@ def n0_odd_closed(genus: int) -> MotiveClass:
 
 
 @lru_cache(maxsize=ODD_MEMO_SIZE)
-def _verified_odd_class(genus: int) -> MotiveClass:
-    """The flip-chain class once it agrees with the closed class; a
-    disagreement raises, and ``lru_cache`` keeps no exception."""
-    chain, closed = n0_odd_chain(genus), n0_odd_closed(genus)
-    if chain != closed:
-        raise PipelineIntegrityError(
-            f"flip-chain and closed classes disagree at genus {genus}: "
-            f"{chain.render()} vs {closed.render()}")
-    return chain
+def _odd_class(genus: int) -> MotiveClass:
+    """``n0_odd_closed(genus)``, kept for the process."""
+    return n0_odd_closed(genus)
 
 
 def n0_odd(genus: int) -> MotiveClass:
-    """Odd-determinant moduli class: the one source of the odd class for
+    """Odd-determinant moduli class, the closed binomial class
+    ``n0_odd_closed(genus)``: the one source of the odd class for
     ``n0_even``, ``decompose`` and ``verify``.  The gates run on every call
-    (the memo's key would take 2.0 and True for 2 and 1); the flip-chain
-    class is compared with ``n0_odd_closed(genus)`` once per genus and
-    process, and a disagreement is never kept.
+    (the memo's key would take 2.0 and True for 2 and 1); the class is built
+    once per genus and process.  The flip chain ``n0_odd_chain`` is never
+    built here: it is the oracle that checks this class.
     """
     _check_closed_genus(genus, 2)
-    _check_chain(genus, 4 * genus - 3, 2 * genus - 2)
-    return _verified_odd_class(genus)
+    return _odd_class(genus)
 
 
 def kummer(genus: int) -> MotiveClass:
@@ -300,8 +293,8 @@ def n0_even(genus: int) -> PipelineReport:
     division runs to order 8g, so the series order guard bounds the genus.
     The walls S_0..S_(2g-2) of the degree-(4g-2) chain come from
     ``sym_power_walls``: the powers from g on by Riemann–Roch from those
-    below g.  The odd class is ``n0_odd(genus)``: built and compared with
-    the closed form once per genus and process.
+    below g.  The odd class is ``n0_odd(genus)``, the closed class, built
+    once per genus and process.
     """
     _check_closed_genus(genus, 2)
     _check_order(8 * genus)

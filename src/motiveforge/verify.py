@@ -92,7 +92,7 @@ class _Ctx:
     def even_report(self, genus: int) -> moduli.PipelineReport:
         """``moduli.n0_even(genus)``, which the checks share, built once per
         run; the odd class needs no such sharing, since ``moduli.n0_odd``
-        keeps it for the process."""
+        keeps the closed class for the process."""
         if genus not in self._even:
             self._even[genus] = moduli.n0_even(genus)
         return self._even[genus]

@@ -318,20 +318,6 @@ def test_input_beyond_the_pipelines_exits_1(monkeypatch, capsys):
             f"0..{moduli.CLOSED_GENUS_GUARD}, got 8000\n"), args
 
 
-def test_pipeline_disagreement_exits_1(monkeypatch, capsys):
-    # the flip chain and the closed formula must agree; make them differ on
-    # a cold memo, since an earlier test may have verified genus 2
-    moduli._verified_odd_class.cache_clear()
-    monkeypatch.setattr(moduli, "n0_odd_closed",
-                        lambda genus: MotiveClass.tate(genus, 99))
-    assert cli.main(["moduli", "n0", "--genus", "2", "--parity", "odd"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("motiveforge: PipelineIntegrityError: flip-chain and "
-                          "closed classes disagree at genus 2: "), err
-    assert len(err.splitlines()) == 1
-
-
 def test_out_file(tmp_path):
     target = tmp_path / "class.json"
     res = run_cli("sym-power", "--genus", "2", "-n", "2", "--out", str(target))

@@ -7,9 +7,8 @@ from motiveforge.jacobians import closed_multiplicities, decompose
 from motiveforge.laurent import L, LaurentInt
 from motiveforge.macdonald import sym_power_curve
 from motiveforge.moduli import (ChainDegreeError, ClosedGenusError,
-                                PipelineIntegrityError, n0_even, n0_odd,
-                                n0_odd_chain, n0_odd_closed, kummer,
-                                omega_index, pair_moduli, pw_classes,
+                                n0_even, n0_odd, n0_odd_chain, n0_odd_closed,
+                                kummer, omega_index, pair_moduli, pw_classes,
                                 range_sum, ss_preimage)
 from motiveforge.motive import MotiveClass, lambda_binomial
 from motiveforge.realize import BiLaurent, betti, hn_closed, hodge_closed
@@ -329,7 +328,6 @@ def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
                                                      sym_power_calls):
     monkeypatch.setattr(series, "SERIES_ORDER_GUARD", 5)
     too_high = (
-        lambda: n0_odd(4),            # degree-13 chain: S_0..S_6
         lambda: n0_odd_chain(3, 13),  # S_0..S_6
         lambda: pair_moduli(2, 13, 6),
         lambda: pw_classes(2, 13, 6),
@@ -339,6 +337,9 @@ def test_symmetric_power_guard_trips_before_any_work(monkeypatch,
     for call in too_high:
         with pytest.raises(series.SeriesOrderError):
             call()
+    assert sym_power_calls == []
+    # the odd class is the closed form: it reads no symmetric power
+    assert n0_odd(4) == n0_odd_closed(4)
     assert sym_power_calls == []
     # at the guard they run
     pair_moduli(2, 13, 5)
@@ -383,7 +384,7 @@ def test_closed_genus_guard_trips_before_any_work(monkeypatch,
         lambda: kummer(4),
         lambda: hn_closed(4),
         lambda: hodge_closed(4),
-        lambda: n0_odd(4),   # compared with n0_odd_closed(4)
+        lambda: n0_odd(4),   # n0_odd_closed(4)
         lambda: n0_even(4),  # adds kummer(4)
     )
     with monkeypatch.context() as no_work:
@@ -402,50 +403,41 @@ def test_closed_genus_guard_trips_before_any_work(monkeypatch,
     assert kummer(3).rank() == 2 ** 5
 
 
-# n0_odd keeps the verified odd class of each genus for the process.  Each
+# n0_odd keeps the closed odd class of each genus for the process.  Each
 # test below fills or clears the memo itself, so none depends on the order
 # the tests run in.
 
-def test_odd_memo_builds_each_chain_once(monkeypatch):
-    chains, closed = [], []
-    real_chain, real_closed = moduli.n0_odd_chain, moduli.n0_odd_closed
+def test_odd_readers_never_build_the_chain(monkeypatch):
+    closed = []
+    real_chain, real_closed = moduli._chain, moduli.n0_odd_closed
 
-    def counted_chain(genus, degree=None):
-        chains.append(genus)
-        return real_chain(genus, degree)
+    def refuse_oracle(genus, degree=None):
+        raise AssertionError(f"n0_odd_chain({genus}) was called")
+
+    def chain_below_odd_degree(genus, d, walls):
+        if d == 4 * genus - 3:
+            raise AssertionError(f"the degree-{d} odd chain was built")
+        return real_chain(genus, d, walls)
 
     def counted_closed(genus):
         closed.append(genus)
         return real_closed(genus)
-    monkeypatch.setattr(moduli, "n0_odd_chain", counted_chain)
-    monkeypatch.setattr(moduli, "n0_odd_closed", counted_closed)
-    moduli._verified_odd_class.cache_clear()
-    odd = n0_odd(4)
-    parts = [decompose(4, i) for i in range(1, 5)]
-    n0_even(4)
-    # the two paths are built and compared once per genus and process
-    assert chains == [4]
+    with monkeypatch.context() as patched:
+        patched.setattr(moduli, "n0_odd_chain", refuse_oracle)
+        patched.setattr(moduli, "_chain", chain_below_odd_degree)
+        patched.setattr(moduli, "n0_odd_closed", counted_closed)
+        moduli._odd_class.cache_clear()
+        odd = n0_odd(4)
+        parts = [decompose(4, i) for i in range(1, 5)]
+        n0_even(4)
+    # the closed class is built once per genus and process
     assert closed == [4]
-    assert odd == real_chain(4)
+    assert odd == n0_odd_chain(4) == real_closed(4)
     assert [list(p.factors) for p in parts] == [
         closed_multiplicities(i) for i in range(1, 5)]
     # the oracles stay unmemoized: each call builds its own class
     assert n0_odd_chain(2) is not n0_odd_chain(2)
     assert n0_odd_closed(2) is not n0_odd_closed(2)
-
-
-def test_cold_odd_memo_keeps_no_disagreement(monkeypatch):
-    moduli._verified_odd_class.cache_clear()
-    with monkeypatch.context() as patched:
-        patched.setattr(moduli, "n0_odd_closed",
-                        lambda genus: MotiveClass.tate(genus, 99))
-        for call in (lambda: n0_odd(2), lambda: decompose(2, 1),
-                     lambda: n0_even(2)):
-            with pytest.raises(PipelineIntegrityError,
-                               match="disagree at genus 2"):
-                call()
-    # no failure was memoized: the lifted patch gives the right class
-    assert n0_odd(2) == n0_odd_chain(2) == n0_odd_closed(2)
 
 
 def test_warm_n0_even_builds_one_chain(monkeypatch):
@@ -463,17 +455,13 @@ def test_warm_n0_even_builds_one_chain(monkeypatch):
 
 
 def test_warm_odd_memo_keeps_the_guards(monkeypatch):
-    n0_odd(4)  # degree-13 chain: S_0..S_6, starting at P^15
-    for module, guard, limit, error in (
-            (series, "SERIES_ORDER_GUARD", 5, series.SeriesOrderError),
-            (moduli, "CHAIN_DEGREE_GUARD", 14, ChainDegreeError),
-            (moduli, "CLOSED_GENUS_GUARD", 3, ClosedGenusError)):
-        with monkeypatch.context() as patched:
-            patched.setattr(module, guard, limit)
-            with pytest.raises(error):
-                n0_odd(4)
-            with pytest.raises(error):
-                decompose(4, 1)
+    n0_odd(4)
+    with monkeypatch.context() as patched:
+        patched.setattr(moduli, "CLOSED_GENUS_GUARD", 3)
+        with pytest.raises(ClosedGenusError):
+            n0_odd(4)
+        with pytest.raises(ClosedGenusError):
+            decompose(4, 1)
     assert n0_odd(4) == n0_odd_closed(4)
 
 
@@ -487,8 +475,7 @@ def test_warm_odd_memo_refuses_non_int_genus():
 
 
 def test_odd_memo_is_bounded_and_public_names_stay_plain():
-    assert (moduli._verified_odd_class.cache_info().maxsize
-            == moduli.ODD_MEMO_SIZE)
+    assert moduli._odd_class.cache_info().maxsize == moduli.ODD_MEMO_SIZE
     assert moduli.ODD_MEMO_SIZE == 32
     # per-function instrumentation wraps plain functions only
     for name in ("n0_odd", "n0_odd_chain", "n0_odd_closed", "n0_even",

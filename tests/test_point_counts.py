@@ -9,7 +9,9 @@ Sending λ_a to (−1)^a e_a(α_1..α_2g), the t^a coefficient of Π(1 − α_i 
 and L to q turns every class into its point count.  The identities below
 hold as rational functions of the α_i and q, so rational values stand in
 for Weil numbers.  They use ``fractions`` and the public API only: no code
-is shared with the flip chain, the closed forms or the series.
+is shared with the flip chain, the closed forms or the series.  The odd
+class is checked twice: as ``n0_odd``, the closed form, and as
+``n0_odd_chain``, the flip chain that is its oracle.
 """
 
 import random
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from motiveforge import n0_odd, sym_power_curve
+from motiveforge import MotiveClass, n0_odd, n0_odd_chain, sym_power_curve
 
 SEEDS = (0, 1, 2)
 
@@ -77,6 +79,31 @@ def test_n0_odd_count_control_fails(genus):
         q, poly = _point(genus, seed)
         assert _count(cls, q, poly) != _n0_odd_count(
             genus, q, poly, 4 * genus - 4), (genus, seed)
+
+
+@pytest.mark.parametrize("genus", range(2, 6))
+def test_n0_odd_chain_counts_stable_bundles(genus):
+    # the flip chain, with its q^(4g−4) control
+    cls = n0_odd_chain(genus)
+    for seed in SEEDS:
+        q, poly = _point(genus, seed)
+        count = _count(cls, q, poly)
+        assert count == _n0_odd_count(
+            genus, q, poly, 3 * genus - 3), (genus, seed)
+        assert count != _n0_odd_count(
+            genus, q, poly, 4 * genus - 4), (genus, seed)
+
+
+@pytest.mark.parametrize("genus", range(1, 7))
+def test_lambda_fold_is_the_functional_equation(genus):
+    # a > g folds to λ_(2g−a)·L^(a−g); e_(2g−a)·q^(a−g) = e_a holds because
+    # the α_i pair off as α and q/α
+    for seed in SEEDS:
+        q, poly = _point(genus, seed)
+        for a in range(genus + 1, 2 * genus + 1):
+            cls = MotiveClass(genus, {a: 1})
+            assert cls.lambda_indices() == [2 * genus - a], (genus, a)
+            assert _count(cls, q, poly) == poly[a], (genus, seed, a)
 
 
 @pytest.mark.parametrize("genus", range(1, 6))

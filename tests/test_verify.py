@@ -73,12 +73,12 @@ def test_moduli_suite_builds_each_even_report_once(monkeypatch):
 
 def test_full_run_builds_each_odd_class_once_per_process():
     # every reader of the odd class (the odd checks, decompose, n0_even)
-    # goes through n0_odd, which builds and compares the two paths of each
-    # genus 2..6 once
-    moduli._verified_odd_class.cache_clear()
+    # goes through n0_odd, which builds the closed class of each genus 2..6
+    # once
+    moduli._odd_class.cache_clear()
     rep = run("all", cases=5)
     assert not rep.failed
-    assert moduli._verified_odd_class.cache_info().misses == 5
+    assert moduli._odd_class.cache_info().misses == 5
 
 
 def test_render_text_one_line_per_check():
