@@ -253,11 +253,11 @@ def _run_realize(args) -> _Result:
             lambda: poly.render("t"),
             lambda: ("degree,rank", poly.items()))
     else:
-        poly = realize.hodge(cls)
+        # the csv rows are per-weight diamonds, not the Hodge polynomial
         result = _Result(
             lambda: {"schema": "realization/v1", "kind": "hodge",
-                     "terms": poly.to_terms_json()},
-            poly.render,
+                     "terms": realize.hodge(cls).to_terms_json()},
+            lambda: realize.hodge(cls).render(),
             lambda: ("weight,p,q,h", realize.hodge_diamond_rows(cls)))
     if not args.level:
         return result

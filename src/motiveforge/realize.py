@@ -1,11 +1,15 @@
-"""Betti and Hodge realizations.
+"""Betti and Hodge realizations: one ring map, three targets.
 
-Both are additive maps on classes and multiplicative against Tate-polynomial
-scalars: λ_a goes to C(2g,a)·t^a on the Betti side and to
-``sum_{i+j=a} C(g,i)C(g,j) x^i y^j`` on the Hodge side, while L goes to t²
-and xy.  Setting x = y = t in a Hodge realization recovers the Betti one
-(Vandermonde).  The closed Betti and Hodge expressions for the odd-degree
-moduli space are provided as independent cross-checks.
+A realization sends λ_a to an image and L to a monomial, additively and
+multiplicatively against Tate-polynomial scalars.  ``_specialize`` is that
+map, the one loop that sums a class's terms.  Its targets are ``betti``
+(λ_a to C(2g,a)·t^a, L to t²), ``hodge`` (λ_a to
+``sum_{i+j=a} C(g,i)C(g,j) x^i y^j``, L to xy) and the per-weight Hodge
+numbers behind ``level_per_weight`` and ``hodge_diamond_rows`` (within one
+weight, x^p alone carries h^(p,q)).  Setting x = y = t in a Hodge
+realization recovers the Betti one (Vandermonde).  The closed Betti and
+Hodge expressions for the odd-degree moduli space are provided as
+independent cross-checks.
 
 Division is one-symbol: the closed Hodge divisor lies in Z[xy], which keeps
 each level i - j, so ``hodge_closed`` splits its numerator by level and
@@ -107,62 +111,49 @@ def _check_top_index(x: MotiveClass) -> None:
                 f"REALIZATION_BITS_GUARD ({REALIZATION_BITS_GUARD})")
 
 
+def _specialize(x: MotiveClass, table, key) -> dict:
+    """The one ring map behind every realization: λ_a·L^e goes to
+    Σ r·key(a, i, e) over the (i, r) of ``table[a]``, summed into a sparse
+    map with zeros dropped.  ``table`` holds the image of each λ-index of
+    ``x``; ``key`` names the monomial of its i-th term times the image of
+    L^e."""
+    out: dict = {}
+    get = out.get
+    for a, p in x._lam.items():
+        row = table[a]
+        for e, c in p._c.items():
+            for i, r in row:
+                k = key(a, i, e)
+                out[k] = get(k, 0) + r * c
+    return {k: c for k, c in out.items() if c}
+
+
 def betti(x: MotiveClass) -> LaurentInt:
     """Betti realization: λ_a·L^b goes to C(2g,a)·t^(a+2b)."""
     _check_top_index(x)
     g2 = 2 * x.genus
-    out: dict[int, int] = {}
-    for a, p in x.components().items():
-        rank = comb(g2, a)
-        for e, c in p.items():
-            k = a + 2 * e
-            out[k] = out.get(k, 0) + rank * c
-    return LaurentInt._raw({k: c for k, c in out.items() if c})
+    table = {a: ((a, comb(g2, a)),) for a in x._lam}
+    return LaurentInt._raw(_specialize(x, table, lambda a, i, e: i + 2 * e))
 
 
-def _hodge_table(x: MotiveClass) -> dict[int, list[tuple[int, int, int]]]:
-    """λ_a -> its (i, a - i, C(g,i)·C(g,a-i)) Hodge terms, for each λ-index
-    of ``x``; its weight parts need no other index.  Both i and a - i stay
-    at or below the top λ-index, so C(g, 0..top) suffice: top + 1
+def _hodge_table(x: MotiveClass) -> dict[int, list[tuple[int, int]]]:
+    """λ_a -> its (i, C(g,i)·C(g,a-i)) Hodge terms x^i·y^(a-i), for each
+    λ-index of ``x``; its weight parts need no other index.  Both i and
+    a - i stay at or below the top λ-index, so C(g, 0..top) suffice: top + 1
     binomials, whatever the genus."""
     _check_top_index(x)
     lam = x._lam
     if not lam:
         return {}
-    g = x.genus
-    row = [comb(g, i) for i in range(max(lam) + 1)]
-    return {a: [(i, a - i, row[i] * row[a - i]) for i in range(a + 1)]
-            for a in lam}
-
-
-def _weight_hodge(part: MotiveClass, table) -> dict[int, int]:
-    """The Hodge numbers {p: h^(p, m-p)} of a weight-m part against a
-    ``_hodge_table`` that covers its λ-indices; zeros dropped.  Within one
-    weight p fixes q, so one symbol carries the part."""
-    out: dict[int, int] = {}
-    get = out.get
-    for a, lp in part._lam.items():
-        # a weight part holds one Lefschetz exponent per λ-index
-        [(e, c)] = lp._c.items()
-        for i, _, r in table[a]:
-            p = i + e
-            out[p] = get(p, 0) + r * c
-    return {p: h for p, h in out.items() if h}
+    row = [comb(x.genus, i) for i in range(max(lam) + 1)]
+    return {a: [(i, row[i] * row[a - i]) for i in range(a + 1)] for a in lam}
 
 
 def hodge(x: MotiveClass) -> BiLaurent:
     """Hodge realization: λ_a goes to the (g,g)-bigraded exterior ranks,
     L to xy."""
-    table = _hodge_table(x)
-    out: dict[tuple[int, int], int] = {}
-    get = out.get
-    for a, p in x._lam.items():
-        base = table[a]
-        for e, c in p._c.items():
-            for i, j, r in base:
-                k = (i + e, j + e)
-                out[k] = get(k, 0) + r * c
-    return BiLaurent._raw({k: c for k, c in out.items() if c})
+    return BiLaurent._raw(_specialize(
+        x, _hodge_table(x), lambda a, i, e: (i + e, a - i + e)))
 
 
 def hn_closed(genus: int) -> LaurentInt:
@@ -217,7 +208,8 @@ def _diamonds(x: MotiveClass) -> dict[int, dict[int, int]]:
     """{m: {p: h^(p, m-p)}} per weight part of ``x``, in ascending weight,
     against one ``_hodge_table``: what the levels and diamond rows read."""
     table = _hodge_table(x)
-    return {m: _weight_hodge(part, table)
+    # within one weight p fixes q, so one symbol carries a part
+    return {m: _specialize(part, table, lambda a, i, e: i + e)
             for m, part in x.weight_decomposition().items()}
 
 

@@ -69,6 +69,26 @@ def test_realize_hodge_csv_diamond():
     assert "3,1,2,2" in lines and "3,2,1,2" in lines
 
 
+def test_realize_hodge_csv_builds_no_hodge_polynomial(tmp_path, monkeypatch,
+                                                     capsys):
+    # the csv form prints the per-weight diamond rows alone
+    cls = moduli.n0_odd(2)
+    target = tmp_path / "class.json"
+    target.write_text(json.dumps(cls.to_json_dict()))
+
+    def no_hodge(_):
+        raise AssertionError("a Hodge polynomial for the csv form")
+
+    rows = realize.hodge_diamond_rows(cls)
+    monkeypatch.setattr(realize, "hodge", no_hodge)
+    assert cli.main(["realize", "--hodge", "--format", "csv",
+                     "--in", str(target)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == ["weight,p,q,h"] + [
+        ",".join(map(str, row)) for row in rows]
+
+
 def test_realize_level_flag():
     cls = run_cli("moduli", "n0", "--genus", "2", "--parity", "odd")
     res = run_cli("realize", "--betti", "--level", stdin=cls.stdout)

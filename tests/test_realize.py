@@ -174,7 +174,8 @@ def test_realizations_build_one_hodge_table(monkeypatch):
     x = n0_odd_closed(24)
     assert x.lambda_indices()[-1] == 23
     tate = MotiveClass(10 ** 6, {0: 1})
-    for fn, expected in ((hodge, BiLaurent(1)),
+    for fn, expected in ((betti, LaurentInt(1)),  # one C(2g, a) per index
+                         (hodge, BiLaurent(1)),
                          (level_per_weight, {0: 0}),
                          (hodge_diamond_rows, [(0, 0, 0, 1)])):
         calls[0] = 0

@@ -7,9 +7,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from motiveforge.laurent import LaurentInt  # noqa: E402
 from motiveforge.motive import MotiveClass  # noqa: E402
-from motiveforge.realize import (_diamonds, betti, hodge,  # noqa: E402
-                                 hodge_diamond_rows, level_per_weight)
+from motiveforge.realize import (BiLaurent, X, Y, _diamonds,  # noqa: E402
+                                 betti, hodge, hodge_diamond_rows,
+                                 level_per_weight)
 
 settings.register_profile("realize", deadline=None, database=None)
 settings.load_profile("realize")
@@ -97,3 +99,31 @@ def test_weight_kernel_matches_the_two_symbol_route(x):
                                    for m, h in ref.items() if h}
     assert hodge_diamond_rows(x) == [(m, p, m - p, h[p]) for m, h in
                                      ref.items() for p in sorted(h)]
+
+
+def _weil_specialization(x, one, ax, ay, lefschetz):
+    """``x`` under λ_a ↦ the T^a coefficient of (1 + ax·T)^g·(1 + ay·T)^g
+    and L^e ↦ ``lefschetz(e)``: the point count at the Weil numbers
+    α_i = −ax for i ≤ g and −ay above, with q = ax·ay.  The exterior ranks
+    come from repeated products of the target ring, not from binomials."""
+    poly = [one]
+    for alpha in [ax] * x.genus + [ay] * x.genus:
+        poly = [c + alpha * prev for c, prev in zip(poly + [0], [0] + poly)]
+    total = 0 * one
+    for a in x.lambda_indices():
+        for e, c in x.component(a).items():
+            total += c * poly[a] * lefschetz(e)
+    return total
+
+
+@given(st.one_of(classes(), cancelling_classes()))
+def test_realizations_are_the_weil_number_specialization(x):
+    """The realization kernel against a ring map built here: Hodge at
+    α = −x, −y and q = xy, Betti at x = y = t, and Betti at t = 1 is the
+    rank."""
+    assert hodge(x) == _weil_specialization(
+        x, BiLaurent(1), X, Y, lambda e: BiLaurent.monomial(e, e))
+    t = LaurentInt.monomial(1)
+    assert betti(x) == _weil_specialization(
+        x, LaurentInt(1), t, t, lambda e: LaurentInt.monomial(2 * e))
+    assert betti(x).evaluate(1) == x.rank()
