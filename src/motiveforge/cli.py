@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: sym-power, moduli (pairs | n0), realize, jacobians, big-f,
-verify.  Each parses its options, computes one result and hands it to
-``_emit``, which writes it to stdout or --out in json (default), text or
-csv.  Identical invocations produce byte-identical output.  Exit status: 0
-on success, 1 on computation integrity errors, 2 on usage errors.
+Forms: sym-power, moduli pairs, moduli n0, realize, jacobians, big-f and
+verify.  The parser states which options each form takes and which it
+requires; each form computes one result and hands it to ``_emit``, which
+writes it to stdout or --out in json (default), text or csv.  Identical
+invocations produce byte-identical output.  Exit status: 0 on success, 1 on
+computation integrity errors and bad input values, 2 on usage errors:
+argparse's own for the grammar, one ``usage error`` line for an unreadable
+--in or unwritable --out and for ``realize --format csv --level``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ class UsageError(Exception):
     """A command line that parses but cannot run: exit status 2."""
 
 
-# ValueError also covers json.JSONDecodeError, SeriesOrderError,
-# DivisorUnitError, GenusMismatchError and DecompositionError.
+# every typed refusal of bad input (json.JSONDecodeError and the library's
+# guard errors among them) is a ValueError
 _COMPUTE_ERRORS = (
     ExactDivisionError, DegenerateDenominatorError, UnsupportedProductError,
     moduli.PipelineIntegrityError, ValueError,
@@ -123,40 +126,49 @@ def _read_class(path: str | None) -> MotiveClass:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "text", "csv"),
                         default="json", help="output format (default json)")
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
 
     parser = argparse.ArgumentParser(
-        prog="motiveforge",
+        prog="motiveforge", allow_abbrev=False,
         description="Exact Grothendieck-ring classes for moduli of rank-2 "
                     "bundles on curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sym-power", parents=[common],
-                       help="symmetric power of a curve (motive level) or of "
-                            "a graded rank vector")
-    p.set_defaults(run=_run_sym_power)
-    p.add_argument("--genus", type=_positive_int)
+    def form(parent, name, run, help):
+        p = parent.add_parser(name, parents=[common], help=help,
+                              allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
+
+    p = form(sub, "sym-power", _run_sym_power,
+             "symmetric power of a curve (motive level) or of a graded rank "
+             "vector")
     p.add_argument("-n", "--power", type=_int, required=True)
-    p.add_argument("--ranks", metavar="JSON",
-                   help="graded rank vector {degree: rank}; switches to rank level")
+    operand = p.add_mutually_exclusive_group(required=True)
+    operand.add_argument("--genus", type=_positive_int)
+    operand.add_argument("--ranks", metavar="JSON",
+                         help="graded rank vector {degree: rank}; switches to "
+                              "rank level")
 
-    p = sub.add_parser("moduli", parents=[common],
-                       help="pair-moduli and bundle-moduli classes")
-    p.set_defaults(run=_run_moduli)
-    p.add_argument("kind", choices=("pairs", "n0"))
+    kinds = sub.add_parser(
+        "moduli", help="pair-moduli and bundle-moduli classes",
+        allow_abbrev=False).add_subparsers(required=True)
+    p = form(kinds, "pairs", _run_pairs,
+             "class of the --index-th pair space in the --degree chain")
     p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--degree", type=_int)
-    p.add_argument("--index", type=_int)
-    p.add_argument("--parity", choices=("odd", "even"))
+    p.add_argument("--degree", type=_int, required=True)
+    p.add_argument("--index", type=_int, required=True)
+    p = form(kinds, "n0", _run_n0,
+             "class of N_0 (odd) or the even pipeline report")
+    p.add_argument("--genus", type=_positive_int, required=True)
+    p.add_argument("--parity", choices=("odd", "even"), required=True)
 
-    p = sub.add_parser("realize", parents=[common],
-                       help="Betti or Hodge realization of a class read from "
-                            "stdin or --in")
-    p.set_defaults(run=_run_realize)
+    p = form(sub, "realize", _run_realize,
+             "Betti or Hodge realization of a class read from stdin or --in")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--betti", action="store_true")
     mode.add_argument("--hodge", action="store_true")
@@ -165,25 +177,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="PATH",
                    help="read the class from a file instead of stdin")
 
-    p = sub.add_parser("jacobians", parents=[common],
-                       help="isogeny decomposition of an intermediate jacobian")
-    p.set_defaults(run=_run_jacobians)
+    p = form(sub, "jacobians", _run_jacobians,
+             "isogeny decomposition of an intermediate jacobian")
     p.add_argument("--genus", type=_positive_int, required=True)
     p.add_argument("--index", type=_int, required=True)
 
-    p = sub.add_parser("big-f", parents=[common],
-                       help="coefficient extraction against three geometric "
-                            "kernels (debugging aid)")
-    p.set_defaults(run=_run_big_f)
+    p = form(sub, "big-f", _run_big_f,
+             "coefficient extraction against three geometric kernels by the "
+             "series and the closed route (debugging aid)")
     p.add_argument("--genus", type=_positive_int, required=True)
     p.add_argument("--exponents", type=_int, nargs=3, required=True,
                    metavar=("E1", "E2", "E3"))
-    p.add_argument("--mode", choices=("series", "closed", "both"),
-                   default="both")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run invariant and acceptance checks")
-    p.set_defaults(run=_run_verify)
+    p = form(sub, "verify", _run_verify, "run invariant and acceptance checks")
     p.add_argument("--suite", default="all", choices=verify.SUITES)
     p.add_argument("--genus-range", type=_genus_range, metavar="A..B")
     p.add_argument("--cases", type=_positive_int, default=1000,
@@ -197,42 +203,25 @@ def _class_result(cls: MotiveClass) -> _Result:
                              for e, c in cls.component(a).items()]))
 
 
-def _reject(args, form: str, *options: str) -> None:
-    """A usage error if any of ``options`` (flag names without the dashes)
-    was given to ``form``, which would not read it."""
-    for name in options:
-        value = getattr(args, name)
-        if value is not None and value is not False:
-            raise UsageError(f"{form} does not take --{name}")
-
-
 def _run_sym_power(args) -> _Result:
-    if args.ranks is not None:
-        _reject(args, "sym-power --ranks", "genus")
-        # a rank vector is read as its Poincaré polynomial: int ranks only
-        poly = LaurentInt.from_coeff_json(_read_json(args.ranks))
-        ranks = sym_power_ranks(dict(poly.items()), args.power)
-        rows = [(d, ranks[d]) for d in sorted(ranks)]
-        return _Result(
-            lambda: {"schema": "graded-ranks/v1",
-                     "ranks": {str(d): r for d, r in rows}},
-            lambda: "\n".join(f"{d}\t{r}" for d, r in rows),
-            lambda: ("degree,rank", rows))
-    if args.genus is None:
-        raise UsageError("sym-power needs --genus unless --ranks is given")
-    return _class_result(sym_power_curve(args.genus, args.power))
+    if args.ranks is None:
+        return _class_result(sym_power_curve(args.genus, args.power))
+    # a rank vector is read as its Poincaré polynomial: int ranks only
+    poly = LaurentInt.from_coeff_json(_read_json(args.ranks))
+    ranks = sym_power_ranks(dict(poly.items()), args.power)
+    rows = [(d, ranks[d]) for d in sorted(ranks)]
+    return _Result(
+        lambda: {"schema": "graded-ranks/v1",
+                 "ranks": {str(d): r for d, r in rows}},
+        lambda: "\n".join(f"{d}\t{r}" for d, r in rows),
+        lambda: ("degree,rank", rows))
 
 
-def _run_moduli(args) -> _Result:
-    if args.kind == "pairs":
-        _reject(args, "moduli pairs", "parity")
-        if args.degree is None or args.index is None:
-            raise UsageError("moduli pairs needs --degree and --index")
-        return _class_result(
-            moduli.pair_moduli(args.genus, args.degree, args.index))
-    if args.parity is None:
-        raise UsageError("moduli n0 needs --parity odd|even")
-    _reject(args, "moduli n0", "degree", "index")
+def _run_pairs(args) -> _Result:
+    return _class_result(moduli.pair_moduli(args.genus, args.degree, args.index))
+
+
+def _run_n0(args) -> _Result:
     if args.parity == "odd":
         return _class_result(moduli.n0_odd(args.genus))
     rep = moduli.n0_even(args.genus)
@@ -241,9 +230,9 @@ def _run_moduli(args) -> _Result:
 
 
 def _run_realize(args) -> _Result:
-    if args.format == "csv":
+    if args.format == "csv" and args.level:
         # the csv rows have no column for the levels
-        _reject(args, "realize --format csv", "level")
+        raise UsageError("realize --format csv does not take --level")
     cls = _read_class(args.infile)
     if args.betti:
         poly = realize.betti(cls)
@@ -285,8 +274,6 @@ def _run_jacobians(args) -> _Result:
 
 def _run_big_f(args) -> _Result:
     e1, e2, e3 = args.exponents
-    if args.mode != "both":
-        return _class_result(big_f(e1, e2, e3, args.genus, args.mode))
     via_series = big_f(e1, e2, e3, args.genus, "series")
     via_closed = big_f(e1, e2, e3, args.genus, "closed")
     agree = via_series == via_closed

@@ -100,14 +100,18 @@ def test_emitted_class_reparses_everywhere(capsys):
     for args in (("sym-power", "--genus", "3", "-n", "4"),
                  ("moduli", "pairs", "--genus", "2", "--degree", "6",
                   "--index", "2"),
-                 ("moduli", "n0", "--genus", "3", "--parity", "odd"),
-                 ("big-f", "--genus", "2", "--exponents", "0", "1", "2",
-                  "--mode", "closed")):
+                 ("moduli", "n0", "--genus", "3", "--parity", "odd")):
         assert cli.main(list(args)) == 0, args
         parsed = MotiveClass.from_json_dict(json.loads(capsys.readouterr().out))
         cli.main(list(args))
         again = capsys.readouterr().out
         assert MotiveClass.from_json_dict(json.loads(again)) == parsed
+    # big-f prints both routes: each entry is a class record of its own
+    assert cli.main(["big-f", "--genus", "2", "--exponents", "0", "1", "2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    for route in ("series", "closed"):
+        cls = MotiveClass.from_json_dict(record[route])
+        assert MotiveClass.from_json_dict(cls.to_json_dict()) == cls, route
 
 
 def test_byte_identical_reruns():
@@ -158,8 +162,6 @@ _FORMS = {
     "jacobians-trivial": ["jacobians", "--genus", "3", "--index", "1"],
     "jacobians": ["jacobians", "--genus", "5", "--index", "5"],
     "big-f-both": ["big-f", "--genus", "2", "--exponents", "0", "1", "2"],
-    "big-f-closed": ["big-f", "--genus", "2", "--exponents", "0", "1", "2",
-                     "--mode", "closed"],
     "verify": ["verify", "--suite", "jacobians", "--genus-range", "2..3"],
 }
 
@@ -205,9 +207,6 @@ _DIGESTS = {
     ("big-f-both", "json"): (0, "c39ec82d6af9595be91412de2eaab0729eaf8d6ce9e5cae777d5bad704ef86f9"),
     ("big-f-both", "text"): (0, "0df445765cd4289439b9d07fc2e388a98d262a167680397febb8b0cb20360511"),
     ("big-f-both", "csv"): (0, "4abf7513e1ee01a6944aa3e1f11a67d13740ed0cda60e0512c9c93eb42dcae5d"),
-    ("big-f-closed", "json"): (0, "a858b357a57541698f59c3ba89ab694d3e37bcf0c58a50e4ebe2205e67c3c04a"),
-    ("big-f-closed", "text"): (0, "cf5ccbc09d5abb6a5570ecdc85a230e2185a526e80d5fa15abed9091174926f0"),
-    ("big-f-closed", "csv"): (0, "8de064588630fa50b7af9f8e42e0f7ac042fd2bcfbe10a64884713c3ddb83932"),
     ("verify", "json"): (0, "ad2683e1614d0f02a6f9dccc733d32bb79df4f01abeada2de981ef4d6c25aaa0"),
     ("verify", "text"): (0, "dc3c4dfda813dec552b07dd42b409b41e42fe5d4ecd3047c462a5744d2dcf9ea"),
     ("verify", "csv"): (0, "71c5635808c22184793047a8d696506e2e346ab0ec2842f9c311540ad03218d4"),
@@ -234,8 +233,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # one cold process per exit status; the cases below run in process
     ok = run_cli("moduli", "n0", "--genus", "2", "--parity", "odd")
     assert ok.returncode == 0 and ok.stderr == ""
-    integrity = run_cli("big-f", "--genus", "2", "--exponents", "0", "0", "1",
-                        "--mode", "closed")
+    integrity = run_cli("big-f", "--genus", "2", "--exponents", "0", "0", "1")
     assert integrity.returncode == 1
     assert "DegenerateDenominatorError" in integrity.stderr
     usage = run_cli("moduli", "n0", "--genus", "2", "--nope")
@@ -253,25 +251,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert out == "" and err.startswith(
         "motiveforge: ValueError: expected a motive-class/v1 record"), err
     # usage errors the parser cannot see: exit 2 with one line on stderr
-    for args in (("moduli", "pairs", "--genus", "2"),
-                 ("moduli", "pairs", "--genus", "2", "--degree", "6"),
-                 ("moduli", "n0", "--genus", "2"),
-                 ("sym-power", "-n", "2"),
-                 ("realize", "--betti", "--in", str(tmp_path / "missing.json")),
+    for args in (("realize", "--betti", "--in", str(tmp_path / "missing.json")),
                  ("sym-power", "--genus", "2", "-n", "2",
                   "--out", str(tmp_path / "no-such-dir" / "class.json")),
-                 # an option the chosen form would not read is refused too
-                 ("moduli", "n0", "--genus", "2", "--parity", "odd",
-                  "--index", "1"),
-                 ("moduli", "n0", "--genus", "2", "--parity", "even",
-                  "--degree", "6"),
-                 ("moduli", "n0", "--genus", "2", "--parity", "even",
-                  "--index", "0"),
-                 ("moduli", "pairs", "--genus", "2", "--degree", "6",
-                  "--index", "2", "--parity", "even"),
-                 ("realize", "--betti", "--level", "--format", "csv"),
-                 ("sym-power", "--genus", "2", "-n", "2",
-                  "--ranks", '{"0":1,"1":4,"2":1}')):
+                 ("realize", "--betti", "--level", "--format", "csv")):
         assert cli.main(list(args)) == 2, args
         out, err = capsys.readouterr()
         assert out == ""
@@ -294,11 +277,39 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2, args
         out, err = capsys.readouterr()
         assert out == "" and "error: argument" in err, err
-    # the parser also refuses a zero where a positive integer belongs, and
-    # --bruteforce, which no form takes
+    # the parser also refuses a zero where a positive integer belongs,
+    # --bruteforce and --mode, which no form takes, a missing option and an
+    # option the chosen form would not read
     zero, brute = ("expected a positive integer, got 0",
                    "unrecognized arguments: --bruteforce")
     for args, why in ((("jacobians", "--genus", "0", "--index", "1"), zero),
+                      (("moduli", "pairs", "--genus", "2"),
+                       "the following arguments are required: --degree, "
+                       "--index"),
+                      (("moduli", "pairs", "--genus", "2", "--degree", "6"),
+                       "the following arguments are required: --index"),
+                      (("moduli", "n0", "--genus", "2"),
+                       "the following arguments are required: --parity"),
+                      # the options follow the kind they belong to
+                      (("moduli", "--genus", "2", "n0", "--parity", "odd"),
+                       "invalid choice"),
+                      (("sym-power", "-n", "2"),
+                       "one of the arguments --genus --ranks is required"),
+                      (("sym-power", "--genus", "2", "-n", "2",
+                        "--ranks", '{"0":1,"1":4,"2":1}'),
+                       "argument --ranks: not allowed with argument --genus"),
+                      (("moduli", "n0", "--genus", "2", "--parity", "odd",
+                        "--index", "1"), "unrecognized arguments: --index 1"),
+                      (("moduli", "n0", "--genus", "2", "--parity", "even",
+                        "--degree", "6"), "unrecognized arguments: --degree 6"),
+                      (("moduli", "n0", "--genus", "2", "--parity", "even",
+                        "--index", "0"), "unrecognized arguments: --index 0"),
+                      (("moduli", "pairs", "--genus", "2", "--degree", "6",
+                        "--index", "2", "--parity", "even"),
+                       "unrecognized arguments: --parity even"),
+                      (("big-f", "--genus", "2", "--exponents", "0", "1", "2",
+                        "--mode", "closed"),
+                       "unrecognized arguments: --mode closed"),
                       (("verify", "--suite", "series", "--cases", "0"), zero),
                       (("sym-power", "--genus", "2", "-n", "2",
                         "--bruteforce"), brute),
@@ -314,6 +325,25 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert cli.main(["sym-power", "-n", "2", "--ranks", ranks]) == 1, ranks
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("motiveforge: ValueError: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "jacobians", "--genus", "2..2"),
+    ("jacobians", "--g", "3", "--i", "2", "--f", "text"),
+    ("jacobians", "--genus", "3", "--index", "2", "--form", "text"),
+    ("moduli", "n0", "--genus", "2", "--par", "odd"),
+    ("moduli", "pairs", "--genus", "2", "--deg", "6", "--index", "2"),
+    ("sym-power", "--genus", "2", "--pow", "2"),
+    ("realize", "--bet"),
+    ("big-f", "--genus", "2", "--exp", "0", "1", "2"),
+], ids=" ".join)
+def test_options_only_by_full_name(argv, capsys):
+    # argparse would read an unambiguous prefix as the option it begins
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err, err
 
 
 def test_input_beyond_the_pipelines_exits_1(monkeypatch, capsys):
@@ -400,10 +430,13 @@ def test_chain_degree_guard_is_a_bad_value(monkeypatch, capsys):
 def test_even_pipeline_rejects_degree_override(capsys):
     # neither class depends on a degree: moduli n0 takes none at any parity
     for parity, degree in (("even", "8"), ("odd", "7")):
-        assert cli.main(["moduli", "n0", "--genus", "2", "--parity", parity,
-                         "--degree", degree]) == 2
-        assert capsys.readouterr() == (
-            "", "motiveforge: usage error: moduli n0 does not take --degree\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["moduli", "n0", "--genus", "2", "--parity", parity,
+                      "--degree", degree])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: --degree {degree}\n")
 
 
 def test_env_order_default():
@@ -525,17 +558,17 @@ def test_realization_size_guard(monkeypatch, capsys):
 
 
 def test_big_f_order_guard_covers_closed_mode(capsys):
-    # closed mode at genus 2000 ran 15.5 s and printed 230 MB: every mode
-    # now refuses an order 2g above SERIES_ORDER_GUARD before any work
+    # the closed route at genus 2000 ran 15.5 s and printed 230 MB: big-f
+    # now refuses an order 2g above SERIES_ORDER_GUARD before any work (each
+    # library mode's refusal: test_series.py)
     refusal = ("motiveforge: SeriesOrderError: series order 1002 exceeds "
                "the guard 1000\n")
     big_f = ["big-f", "--genus", "501", "--exponents", "0", "1", "2"]
-    for mode in ("closed", "series", "both"):
-        start = time.perf_counter()
-        assert cli.main(big_f + ["--mode", mode]) == 1, mode
-        assert time.perf_counter() - start < 1.0, mode
-        assert capsys.readouterr() == ("", refusal), mode
-    res = run_cli(*big_f, "--mode", "closed")
+    start = time.perf_counter()
+    assert cli.main(big_f) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", refusal)
+    res = run_cli(*big_f)
     assert (res.returncode, res.stdout, res.stderr) == (1, "", refusal)
 
 
